@@ -19,5 +19,4 @@ fn main() {
     }
     println!("\nAll experiments done; records in results/*.json");
     println!("{}", cache.summary());
-    println!("{}", ftmpi_sim::pool_stats().summary());
 }

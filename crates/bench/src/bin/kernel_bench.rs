@@ -9,13 +9,13 @@
 //! run the identical op sequence and must produce the identical pop-order
 //! checksum, so the speedup is measured on provably equivalent work.
 //!
-//! Writes `BENCH_kernel.json` at the repository root.
+//! Writes `BENCH_kernel.json` to the current directory (run it from the
+//! repository root).
 //!
 //! ```sh
 //! cargo run --release -p ftmpi-bench --bin kernel_bench [-- --quick]
 //! ```
 
-use std::path::PathBuf;
 use std::time::Instant;
 
 use ftmpi_bench::json::{to_string_pretty, JsonObject, JsonValue};
@@ -109,10 +109,7 @@ fn main() {
         ("wall_s", JsonValue::Float(wall)),
     ]);
 
-    let path = PathBuf::from(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_kernel.json"
-    ));
-    std::fs::write(&path, to_string_pretty(&records) + "\n").expect("write BENCH_kernel.json");
-    println!("[records written to {}]", path.display());
+    let path = "BENCH_kernel.json";
+    std::fs::write(path, to_string_pretty(&records) + "\n").expect("write BENCH_kernel.json");
+    println!("[records written to {path}]");
 }

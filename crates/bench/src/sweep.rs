@@ -6,15 +6,10 @@
 //! pool and returns results **in input order**, so tables and JSON records
 //! are byte-identical to a sequential run regardless of `--jobs`.
 //!
-//! Because each simulated rank is an OS thread (parked almost always, but
-//! holding a stack), admission is gated on the rank-thread pool's *live
-//! thread* gauge ([`ftmpi_sim::wait_live_below`]): a job is admitted as
-//! soon as the process-wide count of leased simulated-process threads dips
-//! below the watermark (default 1024, `FTMPI_THREAD_CAP` to override).
-//! Unlike the earlier per-job `nranks` reservation, the gauge counts
-//! threads that actually exist, so two large jobs overlap freely — their
-//! ranks are mostly parked, not competing for CPU — while a runaway sweep
-//! still cannot exhaust memory or the OS thread limit.
+//! Each job is one single-threaded simulation: its ranks are coroutines
+//! stepped inline by the job's own kernel loop, so a job occupies exactly
+//! one worker thread however many ranks it simulates, and jobs need no
+//! admission control beyond the worker count.
 //!
 //! A [`MemoCache`] keyed by a deterministic spec fingerprint lets callers
 //! skip re-simulating configurations shared across figures (`all_figures`
@@ -638,17 +633,6 @@ pub fn prune_cache(dir: &std::path::Path, max_bytes: Option<u64>) -> std::io::Re
     Ok(report)
 }
 
-/// Default watermark for [`ftmpi_sim::wait_live_below`] admission, or the
-/// `FTMPI_THREAD_CAP` override. 1024 parked rank threads at 256 KiB of
-/// stack is a modest footprint; the cap exists to stop a runaway sweep, not
-/// to serialize normal ones.
-fn default_thread_cap() -> usize {
-    std::env::var("FTMPI_THREAD_CAP")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1024)
-}
-
 /// One planned job: a display label, an optional memoization key, and the
 /// spec-producing closure (built lazily, on the worker that runs it).
 struct PlannedJob {
@@ -673,7 +657,6 @@ pub struct JobOutcome {
 pub struct SweepRunner {
     workers: usize,
     cache: Option<Arc<MemoCache>>,
-    thread_cap: usize,
     jobs: Vec<PlannedJob>,
 }
 
@@ -683,7 +666,6 @@ impl SweepRunner {
         SweepRunner {
             workers: workers.max(1),
             cache: None,
-            thread_cap: default_thread_cap(),
             jobs: Vec::new(),
         }
     }
@@ -691,12 +673,6 @@ impl SweepRunner {
     /// Attach a memo cache consulted for every keyed job.
     pub fn with_cache(mut self, cache: Arc<MemoCache>) -> SweepRunner {
         self.cache = Some(cache);
-        self
-    }
-
-    /// Override the live-thread admission watermark (tests, tuning).
-    pub fn with_thread_cap(mut self, cap: usize) -> SweepRunner {
-        self.thread_cap = cap.max(1);
         self
     }
 
@@ -774,10 +750,9 @@ impl SweepRunner {
             return self
                 .jobs
                 .into_iter()
-                .map(|j| execute(j, cache.as_deref(), None))
+                .map(|j| execute(j, cache.as_deref()))
                 .collect();
         }
-        let cap = self.thread_cap;
         let slots: Vec<Mutex<Option<PlannedJob>>> =
             self.jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
         let outcomes: Vec<Mutex<Option<JobOutcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
@@ -790,7 +765,7 @@ impl SweepRunner {
                         break;
                     }
                     let job = slots[i].lock().unwrap().take().expect("job claimed twice");
-                    let outcome = execute(job, cache.as_deref(), Some(cap));
+                    let outcome = execute(job, cache.as_deref());
                     *outcomes[i].lock().unwrap() = Some(outcome);
                 });
             }
@@ -806,7 +781,7 @@ impl SweepRunner {
     }
 }
 
-fn execute(job: PlannedJob, cache: Option<&MemoCache>, thread_cap: Option<usize>) -> JobOutcome {
+fn execute(job: PlannedJob, cache: Option<&MemoCache>) -> JobOutcome {
     let start = Instant::now();
     let spec = (job.build)();
     if let (Some(cache), Some(key)) = (cache, job.key.as_deref()) {
@@ -818,12 +793,6 @@ fn execute(job: PlannedJob, cache: Option<&MemoCache>, thread_cap: Option<usize>
                 cached: true,
             };
         }
-    }
-    // Live-thread admission: wait for the pool's gauge to dip below the
-    // watermark before the run spawns its ranks. No release step — leased
-    // threads retire themselves as the job's processes exit.
-    if let Some(cap) = thread_cap {
-        ftmpi_sim::wait_live_below(cap);
     }
     let result = run_job(spec);
     if let (Some(cache), Some(key), Ok(res)) = (cache, job.key, result.as_ref()) {
@@ -1004,19 +973,21 @@ mod tests {
     }
 
     #[test]
-    fn live_thread_admission_never_blocks_oversized_jobs() {
-        // The watermark is far below one job's rank count: the gauge-based
-        // gate admits each job as soon as occupancy dips below the cap
-        // instead of deadlocking on an unsatisfiable reservation.
+    fn wide_jobs_run_in_parallel_without_admission_control() {
+        // Each job simulates thousands of ranks, yet its ranks are
+        // coroutines on the job's own kernel loop: every job occupies one
+        // worker, so overlapping wide jobs need no admission gate.
         let results = {
-            let mut runner = SweepRunner::new(2).with_thread_cap(1);
-            for laps in [3usize, 5, 7, 9] {
-                runner.add(format!("laps{laps}"), move || ring_spec(laps));
+            let mut runner = SweepRunner::new(2);
+            for laps in [1usize, 2, 3, 4] {
+                runner.add(format!("laps{laps}"), move || {
+                    JobSpec::new(2_048, ProtocolChoice::Dummy, synth::token_ring(laps, 256))
+                });
             }
             runner.run()
         };
-        for (r, laps) in results.iter().zip([3u64, 5, 7, 9]) {
-            assert_eq!(r.as_ref().unwrap().rt.msgs_sent, laps * 4);
+        for (r, laps) in results.iter().zip([1u64, 2, 3, 4]) {
+            assert_eq!(r.as_ref().unwrap().rt.msgs_sent, laps * 2_048);
         }
     }
 

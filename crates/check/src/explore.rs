@@ -88,9 +88,6 @@ pub struct ExploreOptions {
     /// Force the queue backend (`Some(true)` = ladder); `None` keeps the
     /// environment default.
     pub ladder: Option<bool>,
-    /// Force the process backend (`Some(true)` = legacy OS threads);
-    /// `None` keeps the environment default (coroutines).
-    pub threaded: Option<bool>,
     /// Abort (non-exhausted) after this many complete runs.
     pub max_runs: u64,
     /// Minimize violating schedules before reporting.
@@ -103,7 +100,6 @@ impl Default for ExploreOptions {
     fn default() -> ExploreOptions {
         ExploreOptions {
             ladder: None,
-            threaded: None,
             max_runs: 4000,
             shrink: true,
             artifact_dir: None,
@@ -172,7 +168,6 @@ fn run_one(
         tiebreak_seed: None,
         schedule: Some(prescription.clone()),
         ladder: opts.ladder,
-        threaded: opts.threaded,
         race_fixture: cfg.fixture,
     };
     match run_job_explored(spec.clone(), run_opts) {
@@ -672,7 +667,6 @@ pub fn differential(
         cfg,
         &ExploreOptions {
             ladder: Some(false),
-            threaded: base.threaded,
             max_runs: base.max_runs,
             shrink: base.shrink,
             artifact_dir: base.artifact_dir.clone(),
@@ -682,7 +676,6 @@ pub fn differential(
         cfg,
         &ExploreOptions {
             ladder: Some(true),
-            threaded: base.threaded,
             max_runs: base.max_runs,
             shrink: base.shrink,
             artifact_dir: base.artifact_dir.clone(),

@@ -67,11 +67,8 @@ const WALLCLOCK_CRATES: &[&str] = &["sim", "net", "mpi", "core", "nas"];
 /// README's toggle table (checked by [`env_registry_hits`]).
 pub const ENV_TOGGLES: &[&str] = &[
     "FTMPI_NO_LADDER",
-    "FTMPI_THREADED",
-    "FTMPI_NO_POOL",
     "FTMPI_NO_BATCH",
     "FTMPI_NO_CACHE",
-    "FTMPI_THREAD_CAP",
     "FTMPI_DEBUG",
     "FTMPI_MINE_BUDGET",
     "FTMPI_NO_MINE",
@@ -586,13 +583,6 @@ fn push_confinement(sources: &[(String, String)]) -> Vec<LintHit> {
              state machine may only be polled by `drive_coro`, where the \
              dispatched wake and its lane are recorded",
         ),
-        (
-            "resume_batch(",
-            &["src/kernel.rs", "src/process.rs"],
-            "threaded wake delivery outside the kernel drive loop: handoff \
-             resumes must come from the dispatcher so both process backends \
-             see the same wake order",
-        ),
     ];
     let mut hits = Vec::new();
     for (path, text) in sources {
@@ -926,8 +916,8 @@ pub(crate) enum EventKind {
     #[test]
     fn env_registry_rules() {
         let ok = vec![(
-            "crates/sim/src/pool.rs".to_string(),
-            "let off = std::env::var(\"FTMPI_NO_POOL\").is_ok();\n".to_string(),
+            "crates/core/src/flow.rs".to_string(),
+            "let off = std::env::var_os(\"FTMPI_NO_BATCH\").is_some();\n".to_string(),
         )];
         let readme: String = ENV_TOGGLES
             .iter()
@@ -937,7 +927,7 @@ pub(crate) enum EventKind {
 
         // Unregistered name on an env read.
         let rogue = vec![(
-            "crates/sim/src/pool.rs".to_string(),
+            "crates/core/src/flow.rs".to_string(),
             "let x = std::env::var(\"FTMPI_SECRET\");\n".to_string(),
         )];
         let hits = env_registry_hits(&rogue, &readme);

@@ -29,7 +29,7 @@
 
 use ftmpi_mpi::World;
 use ftmpi_net::NodeId;
-use ftmpi_sim::{batching_enabled, SimCtx, SimDuration, SimTime};
+use ftmpi_sim::{SimCtx, SimDuration, SimTime};
 
 use crate::config::FtConfig;
 
@@ -51,6 +51,16 @@ pub struct FlowSpec {
 type DoneFn = Box<dyn FnOnce(&mut World, &SimCtx, SimTime) + Send>;
 type FailFn = Box<dyn FnOnce(&mut World, &SimCtx) + Send>;
 type ArrivalFn = Box<dyn FnOnce(&mut World, &SimCtx) + Send>;
+
+/// `false` when `FTMPI_NO_BATCH` is set: flow transfers schedule one event
+/// per chunk instead of coalescing contention-free chunk runs. Batching only
+/// swallows completions no other event could observe, so results are
+/// byte-identical either way; the toggle exists for CI to prove exactly
+/// that. Read once per process.
+fn batching_enabled() -> bool {
+    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *ON.get_or_init(|| std::env::var_os("FTMPI_NO_BATCH").is_none())
+}
 
 /// Tiebreak-lane namespace for flow-chunk events, disjoint from process
 /// lanes by the high bit (a collision would only merge lanes, which is

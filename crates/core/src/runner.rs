@@ -383,10 +383,6 @@ pub struct RunOptions {
     /// `FTMPI_NO_LADDER` environment default (the explorer's differential-
     /// backend mode). `None` keeps the default.
     pub ladder: Option<bool>,
-    /// Force the process backend (`true` = legacy OS threads), overriding
-    /// the `FTMPI_THREADED` environment default (differential-backend
-    /// testing). `None` keeps the default (stackless coroutines).
-    pub threaded: Option<bool>,
     /// Re-open one of the two historical races as a regression fixture for
     /// the schedule explorer (see [`RaceFixture`]). `None` — always, outside
     /// explorer tests — leaves every protocol path exactly as shipped.
@@ -463,9 +459,6 @@ pub fn run_job_explored(
     // policy (it starts lane recording on whichever queue survives).
     if let Some(ladder) = opts.ladder {
         sim.force_queue_backend(ladder);
-    }
-    if let Some(threaded) = opts.threaded {
-        sim.force_threaded(threaded);
     }
     if let Some(prefix) = opts.schedule {
         sim.set_schedule_policy(Box::new(ftmpi_sim::PrescribedPolicy::new(prefix)));

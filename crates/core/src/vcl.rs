@@ -35,6 +35,13 @@ use crate::image::{RankImage, WaveRecord};
 use crate::server::{replica_targets, CheckpointStore, StoredImage, TORN_WRITE};
 use crate::stats::{FtStats, WaveTiming};
 
+/// `true` when `FTMPI_DEBUG` is set: image captures and wave commits dump
+/// their message sequence numbers to stderr. Read once per process.
+fn debug_enabled() -> bool {
+    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *ON.get_or_init(|| std::env::var("FTMPI_DEBUG").is_ok())
+}
+
 /// In-flight wave state.
 struct VclWave {
     rec: WaveRecord,
@@ -332,7 +339,7 @@ impl Vcl {
             rt.add_penalty(r, vcl.cfg.fork_cost);
             let rs = &rt.ranks[r];
             let credit = rt.capture_credit(r, sc.now());
-            if std::env::var("FTMPI_DEBUG").is_ok() {
+            if debug_enabled() {
                 eprintln!(
                     "[vcl] capture r{r} at {} ops={} pending_seqs={:?}",
                     sc.now(),
@@ -738,7 +745,7 @@ impl Vcl {
                 committed_at: sc.now(),
             });
             vcl.store.commit(wave);
-            if std::env::var("FTMPI_DEBUG").is_ok() {
+            if debug_enabled() {
                 for (d, log) in wave_state.rec.logs.iter().enumerate() {
                     eprintln!(
                         "[vcl] wave {wave} log[{d}] seqs={:?}",

@@ -317,25 +317,6 @@ impl EventQueue {
         }
     }
 
-    /// Pop the next event only if `want(time, kind)` accepts it. Cancelled
-    /// corpses at the front are discarded either way (they would never
-    /// execute), so a refusal means the live head of the queue does not
-    /// match. Used by the kernel to coalesce consecutive same-time wakes for
-    /// one process into a single token handoff.
-    pub fn pop_if(&mut self, want: impl Fn(SimTime, &EventKind) -> bool) -> Option<Event> {
-        loop {
-            let k = self.backend.peek()?;
-            if self.discard_if_corpse(k) {
-                continue;
-            }
-            if !want(SimTime::from_nanos(k.time_ns), self.arena.get(k.slot)) {
-                return None;
-            }
-            let k = self.backend.pop().expect("peeked event vanished");
-            return Some(self.assemble(k));
-        }
-    }
-
     /// The time of the next live (non-cancelled) event, without consuming
     /// it. Corpses discovered at the head are reclaimed on the way.
     pub fn peek_time(&mut self) -> Option<SimTime> {
@@ -445,24 +426,6 @@ mod tests {
         assert_eq!(q.len(), 1);
         let ev = q.pop().unwrap();
         assert_eq!(ev.time, SimTime::from_nanos(6));
-    }
-
-    #[test]
-    fn pop_if_refuses_nonmatching_head_and_skips_corpses() {
-        let mut q = EventQueue::default();
-        let a = q.push(SimTime::from_nanos(5), None, call());
-        q.push(SimTime::from_nanos(5), None, call());
-        q.push(SimTime::from_nanos(9), None, call());
-        // Head does not match: nothing is consumed.
-        assert!(q.pop_if(|t, _| t.as_nanos() == 9).is_none());
-        assert_eq!(q.len(), 3);
-        // Cancel the head; pop_if discards the corpse and matches the next.
-        q.cancel(a);
-        let ev = q.pop_if(|t, _| t.as_nanos() == 5).unwrap();
-        assert_eq!(ev.seq, 1);
-        assert!(q.pop_if(|t, _| t.as_nanos() == 5).is_none());
-        assert_eq!(q.pop().unwrap().time.as_nanos(), 9);
-        assert!(q.pop_if(|_, _| true).is_none());
     }
 
     #[test]
@@ -715,7 +678,7 @@ mod tests {
                     live.push(a);
                 }
             }
-            6 | 7 => {
+            6..=8 => {
                 let a = heap.pop();
                 let b = ladder.pop();
                 assert_eq!(
@@ -723,20 +686,6 @@ mod tests {
                     b.as_ref().map(&digest),
                     "pop sequences diverged"
                 );
-                if let Some(ev) = a {
-                    *now = ev.time.as_nanos();
-                }
-            }
-            8 => {
-                // pop_if against the actual head time: taken on both or
-                // refused on both.
-                let t = heap.peek_time();
-                assert_eq!(t, ladder.peek_time());
-                let Some(t) = t else { return };
-                let cut = t.as_nanos() + rng.next() % 2;
-                let a = heap.pop_if(|et, _| et.as_nanos() <= cut);
-                let b = ladder.pop_if(|et, _| et.as_nanos() <= cut);
-                assert_eq!(a.as_ref().map(&digest), b.as_ref().map(&digest));
                 if let Some(ev) = a {
                     *now = ev.time.as_nanos();
                 }

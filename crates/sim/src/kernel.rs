@@ -6,38 +6,30 @@ use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
-use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
 
 use crate::event::{Event, EventId, EventKind, EventQueue};
-use crate::pool::{self, LeaseGroup};
-use crate::process::{
-    Driver, Handoff, Pid, ProcCtx, ProcessExit, ResumeOutcome, WakeKind, WakeSlot,
-};
+use crate::process::{Pid, ProcCtx, ProcessExit, WakeKind, WakeSlot};
 use crate::schedule::{Candidate, CandidateKind, Decision, SchedulePolicy, StepRecord};
 use crate::table::ProcTable;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceEvent, TraceKind, Tracer};
-use crate::wakes::WakeBatch;
-use crate::KilledSignal;
 
 /// A process body compiled to a resumable state machine, owned by the kernel
 /// and stepped inline from the drive loop.
 type CoroFuture = Pin<Box<dyn Future<Output = ()> + Send>>;
 /// Deferred coroutine constructor: runs at the first Normal wake so the
-/// process's local clock starts at its actual start time (the coroutine
-/// analogue of the threaded backend's `wait_first_wake`).
+/// process's local clock starts at its actual start time.
 type EmbryoFn = Box<dyn FnOnce(ProcCtx) -> CoroFuture + Send>;
 
 /// Execution state of one simulated process.
 enum ProcBody {
-    /// Coroutine backend, not yet started: the constructor runs at the
-    /// first Normal wake (a first wake of Killed drops it unstarted).
+    /// Not yet started: the constructor runs at the first Normal wake (a
+    /// first wake of Killed drops it unstarted).
     Embryo(EmbryoFn),
-    /// Coroutine backend, parked between wakes: the kernel deposits the
-    /// next wake in `slot` and polls `fut` inline — a Resume event is a
-    /// direct method call, no thread, no Condvar round-trip.
+    /// Parked between wakes: the kernel deposits the next wake in `slot`
+    /// and polls `fut` inline — a Resume event is a direct method call.
     Coro {
         fut: CoroFuture,
         slot: Arc<WakeSlot>,
@@ -46,13 +38,6 @@ enum ProcBody {
     /// the table while polled: polling reenters the kernel state lock
     /// through `schedule_exec`.
     Running,
-    /// Threaded backend (`FTMPI_THREADED=1`): the token-handoff rendezvous,
-    /// plus the join handle of a dedicated (`FTMPI_NO_POOL`) thread; pooled
-    /// workers are never joined — teardown quiesces the lease group instead.
-    Threaded {
-        handoff: Arc<Handoff>,
-        join: Option<JoinHandle<()>>,
-    },
     /// Exited; nothing left to drive.
     Gone,
 }
@@ -74,10 +59,6 @@ pub(crate) struct KernelState {
     /// the kernel hot path (resume/kill/exec) avoids hashing entirely.
     procs: ProcTable<ProcEntry>,
     next_pid: u64,
-    /// `true`: spawn processes on the legacy OS-thread backend
-    /// (`FTMPI_THREADED` / [`Sim::force_threaded`]). `false` (default):
-    /// processes are kernel-driven stackless coroutines.
-    threaded: bool,
     stop_requested: bool,
     executed: u64,
     max_events: Option<u64>,
@@ -85,9 +66,6 @@ pub(crate) struct KernelState {
     tracer: Tracer,
     /// Exit records in completion order.
     exits: Vec<(Pid, Arc<str>, ProcessExit)>,
-    /// Condvar round-trips avoided by delivering same-time wake batches in
-    /// one token handoff (reported in [`RunReport::handoffs_saved`]).
-    handoffs_saved: u64,
     /// Exploration mode: a controller choosing among same-instant
     /// candidates ([`Sim::set_schedule_policy`]). `None` in ordinary runs —
     /// the pop path is then exactly the policy-free fast path.
@@ -198,15 +176,6 @@ impl KernelState {
         PolicyPop::Run(ev)
     }
 
-    /// Does `pid` run on the coroutine backend? Decides how the drive loop
-    /// dispatches its Resume events (inline poll vs. token handoff).
-    fn proc_is_coro(&self, pid: Pid) -> bool {
-        matches!(
-            self.procs.get(pid).map(|e| &e.body),
-            Some(ProcBody::Embryo(_) | ProcBody::Coro { .. } | ProcBody::Running)
-        )
-    }
-
     /// The drained-queue outcome: success iff no process is still parked.
     fn drained(&self) -> Result<(), SimError> {
         let parked: Vec<String> = self
@@ -225,34 +194,6 @@ impl KernelState {
     }
 }
 
-/// `false` when `FTMPI_NO_BATCH` is set: every wake gets its own token
-/// handoff, as in the unbatched kernel, and flow transfers schedule one
-/// event per chunk instead of coalescing contention-free chunk runs. The
-/// batched and unbatched paths execute the same events in the same order
-/// (wake batches only coalesce consecutive same-time wakes for one process,
-/// which pop back-to-back anyway; flow batching only swallows completions no
-/// other event could observe), so results are byte-identical either way; the
-/// toggle exists for CI to prove exactly that. Exported for the flow layer
-/// in `ftmpi-core`, which gates its chunk batching on the same switch.
-pub fn batching_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("FTMPI_NO_BATCH").is_none())
-}
-
-/// `true` when `FTMPI_THREADED` is set: simulated processes run on the
-/// legacy token-handoff OS-thread backend (one pooled thread per live rank,
-/// Condvar rendezvous per wake) instead of being driven as stackless
-/// coroutines inline on the kernel loop. The two backends execute the same
-/// events in the same order and produce byte-identical results (see
-/// DESIGN.md "Rank execution" for the equivalence argument); the toggle
-/// keeps the threaded backend as the reference implementation for
-/// differential testing. Overridable per-simulation with
-/// [`Sim::force_threaded`].
-pub fn threaded_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("FTMPI_THREADED").is_some())
-}
-
 /// Shared kernel handle. Internal; exposed types are [`Sim`] and [`SimCtx`].
 pub struct Shared {
     pub(crate) state: Mutex<KernelState>,
@@ -261,9 +202,6 @@ pub struct Shared {
     /// skip the state mutex when tracing is off (the common case: only
     /// tests and debugging sessions enable it).
     trace_on: AtomicBool,
-    /// This simulation's leases on the rank-thread pool; teardown waits for
-    /// the count to reach zero (the pooled replacement for join-all).
-    leases: Arc<LeaseGroup>,
 }
 
 impl Shared {
@@ -382,9 +320,6 @@ pub struct RunReport {
     pub trace: Vec<TraceEvent>,
     /// Whether the run ended because [`SimCtx::request_stop`] was called.
     pub stopped: bool,
-    /// Condvar round-trips avoided by batched wake delivery (0 when
-    /// `FTMPI_NO_BATCH` is set or no same-time wake batches occurred).
-    pub handoffs_saved: u64,
     /// Exploration mode only: every instant at which more than one
     /// candidate was ready, with the policy's choice. Empty otherwise.
     pub decisions: Vec<Decision>,
@@ -479,10 +414,9 @@ impl SimCtx {
         self.shared.schedule_resume(at, pid, WakeKind::Normal);
     }
 
-    /// Kill a process. On the coroutine backend the kernel drops the
-    /// process's state machine at the kill wake (a pure state transition);
-    /// on the threaded backend the next kernel interaction (or the current
-    /// park) unwinds the thread. No-op for already-dead processes.
+    /// Kill a process: the kernel drops the process's state machine at the
+    /// kill wake (a pure state transition that runs the machine's
+    /// destructors). No-op for already-dead processes.
     pub fn kill(&self, pid: Pid) {
         // Pre-format the trace detail outside the lock; with tracing off
         // (the common case) the whole call takes one lock acquisition.
@@ -590,101 +524,36 @@ where
     Fut: Future<Output = ()> + Send + 'static,
 {
     let name: Arc<str> = Arc::from(name.as_str());
-    let pid;
-    let threaded;
-    {
-        let mut st = shared.state.lock();
-        pid = Pid(st.next_pid);
-        st.next_pid += 1;
-        threaded = st.threaded;
-        if st.tracer.enabled() {
-            let detail = format!("spawn '{name}'");
-            let now = st.now;
-            st.tracer.record(TraceEvent {
-                time: now,
-                kind: TraceKind::Spawn,
-                pid: Some(pid),
-                detail,
-            });
-        }
-    }
-    let body = if threaded {
-        let handoff = Handoff::new();
-        let thread_shared = Arc::clone(shared);
-        let thread_handoff = Arc::clone(&handoff);
-        let thread_name = Arc::clone(&name);
-        let trampoline = move || {
-            let (kind, now) = thread_handoff.wait_first_wake();
-            if matches!(kind, WakeKind::Killed) {
-                thread_handoff.exit(ProcessExit::Killed);
-                return;
-            }
-            let driver_handoff = Arc::clone(&thread_handoff);
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let ctx = ProcCtx {
-                    pid,
-                    name: thread_name,
-                    driver: Driver::Threaded(driver_handoff),
-                    shared: thread_shared,
-                    local_time: now,
-                };
-                // The whole body runs inside a single poll: on this backend
-                // every suspension point blocks on the token handoff and
-                // resolves immediately, so a live process never observes
-                // `Pending` — a kill unwinds the thread out of the poll via
-                // `KilledSignal` instead.
-                let mut fut = Box::pin(f(ctx));
-                let mut cx = Context::from_waker(Waker::noop());
-                match fut.as_mut().poll(&mut cx) {
-                    Poll::Ready(()) => {}
-                    Poll::Pending => unreachable!("threaded suspension returned Pending"),
-                }
-            }));
-            let status = match result {
-                Ok(()) => ProcessExit::Normal,
-                Err(payload) => {
-                    if payload.downcast_ref::<KilledSignal>().is_some() {
-                        ProcessExit::Killed
-                    } else {
-                        ProcessExit::Panicked(panic_message(payload))
-                    }
-                }
-            };
-            thread_handoff.exit(status);
-        };
-        // Pool checkout: an idle worker runs the trampoline, or (escape
-        // hatch / cold pool) a fresh thread is spawned. `join` is `Some`
-        // only for dedicated escape-hatch threads; pooled lifetimes are
-        // governed by the lease group, which teardown quiesces.
-        let join = pool::spawn_process(
-            format!("sim-{pid}-{name}"),
-            &shared.leases,
-            Box::new(trampoline),
-        );
-        ProcBody::Threaded { handoff, join }
-    } else {
-        // Coroutine backend: no thread at all. The body is materialized as
-        // a kernel-owned state machine at its first Normal wake.
-        ProcBody::Embryo(Box::new(move |ctx| Box::pin(f(ctx))))
-    };
-    {
-        let mut st = shared.state.lock();
-        st.procs.insert(
-            pid,
-            ProcEntry {
-                name,
-                body,
-                alive: true,
-                pending_exec: None,
-            },
-        );
+    let mut st = shared.state.lock();
+    let pid = Pid(st.next_pid);
+    st.next_pid += 1;
+    if st.tracer.enabled() {
+        let detail = format!("spawn '{name}'");
         let now = st.now;
-        st.queue.push(
-            start_at.max(now),
-            Some(pid.lane()),
-            EventKind::Resume(pid, WakeKind::Normal),
-        );
+        st.tracer.record(TraceEvent {
+            time: now,
+            kind: TraceKind::Spawn,
+            pid: Some(pid),
+            detail,
+        });
     }
+    // The body is materialized as a kernel-owned state machine at its
+    // first Normal wake.
+    st.procs.insert(
+        pid,
+        ProcEntry {
+            name,
+            body: ProcBody::Embryo(Box::new(move |ctx| Box::pin(f(ctx)))),
+            alive: true,
+            pending_exec: None,
+        },
+    );
+    let now = st.now;
+    st.queue.push(
+        start_at.max(now),
+        Some(pid.lane()),
+        EventKind::Resume(pid, WakeKind::Normal),
+    );
     pid
 }
 
@@ -706,10 +575,7 @@ pub struct Sim {
 /// One unit of work popped under the state lock and dispatched outside it.
 enum Dispatch {
     Call(Box<dyn FnOnce(&SimCtx) + Send>, SimTime),
-    /// Threaded backend: hand the token (with a wake batch) to the process
-    /// thread and wait for it to park or exit.
-    Wakes(Pid, SimTime, WakeBatch),
-    /// Coroutine backend: step the process's state machine inline.
+    /// Step the process's state machine inline.
     Poll(Pid, SimTime, WakeKind),
 }
 
@@ -719,26 +585,9 @@ impl Default for Sim {
     }
 }
 
-/// Install (once per process) a panic hook that silences the expected
-/// [`KilledSignal`] unwinds of killed simulated processes while delegating
-/// every real panic to the previous hook.
-fn install_kill_quiet_hook() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<KilledSignal>().is_some() {
-                return; // expected failure-injection unwind
-            }
-            previous(info);
-        }));
-    });
-}
-
 impl Sim {
     /// Create an empty simulation at time zero.
     pub fn new() -> Sim {
-        install_kill_quiet_hook();
         Sim {
             shared: Arc::new(Shared {
                 state: Mutex::new(KernelState {
@@ -746,20 +595,17 @@ impl Sim {
                     now: SimTime::ZERO,
                     procs: ProcTable::default(),
                     next_pid: 0,
-                    threaded: threaded_enabled(),
                     stop_requested: false,
                     executed: 0,
                     max_events: None,
                     max_time: None,
                     tracer: Tracer::default(),
                     exits: Vec::new(),
-                    handoffs_saved: 0,
                     policy: None,
                     decisions: Vec::new(),
                     steps: Vec::new(),
                 }),
                 trace_on: AtomicBool::new(false),
-                leases: Arc::new(LeaseGroup::default()),
             }),
         }
     }
@@ -797,8 +643,7 @@ impl Sim {
     /// Install a [`SchedulePolicy`] (exploration mode). Every pop with more
     /// than one ready candidate consults the policy; [`RunReport::decisions`]
     /// and [`RunReport::steps`] record the run's choice points and step
-    /// effects. Wake batching is bypassed in this mode so each wake stays an
-    /// individually choosable scheduling unit. Call before scheduling
+    /// effects. Call before scheduling
     /// anything (the queue starts recording lanes here).
     pub fn set_schedule_policy(&mut self, policy: Box<dyn SchedulePolicy>) {
         let mut st = self.shared.state.lock();
@@ -820,17 +665,6 @@ impl Sim {
         if st.policy.is_some() {
             st.queue.record_lanes();
         }
-    }
-
-    /// Override the `FTMPI_THREADED` backend choice for this simulation:
-    /// `true` runs processes on the legacy OS-thread backend, `false` on the
-    /// coroutine backend. Differential tests drive the same workload through
-    /// both backends in one process and compare results byte for byte. Call
-    /// before spawning anything.
-    pub fn force_threaded(&mut self, threaded: bool) {
-        let mut st = self.shared.state.lock();
-        debug_assert_eq!(st.next_pid, 0, "switch process backends before spawning");
-        st.threaded = threaded;
     }
 
     /// Convenience constructor for a [`SharedFlag`].
@@ -882,12 +716,12 @@ impl Sim {
     /// Drive the event loop to completion.
     ///
     /// Ends when the queue drains with no parked processes, when a stop is
-    /// requested, or when a budget/deadline triggers. On success all process
-    /// threads have been joined.
+    /// requested, or when a budget/deadline triggers. Processes still parked
+    /// at the end are killed (their state machines dropped) before this
+    /// returns.
     pub fn run(&mut self) -> Result<RunReport, SimError> {
         let result = self.run_loop();
-        // Always tear down remaining threads, even on error paths, so that
-        // dropping the Sim never leaks parked threads.
+        // Always tear down remaining processes, even on error paths.
         self.teardown();
         let mut st = self.shared.state.lock();
         let report = RunReport {
@@ -900,7 +734,6 @@ impl Sim {
                 .collect(),
             trace: st.tracer.take(),
             stopped: st.stop_requested,
-            handoffs_saved: st.handoffs_saved,
             decisions: std::mem::take(&mut st.decisions),
             steps: std::mem::take(&mut st.steps),
         };
@@ -909,7 +742,6 @@ impl Sim {
     }
 
     fn run_loop(&mut self) -> Result<(), SimError> {
-        let batching = batching_enabled();
         loop {
             let dispatch = {
                 let mut st = self.shared.state.lock();
@@ -923,100 +755,42 @@ impl Sim {
                         });
                     }
                 }
-                if st.policy.is_some() {
+                let ev = if st.policy.is_some() {
                     match st.pop_with_policy() {
                         PolicyPop::Drained => return st.drained(),
                         PolicyPop::Horizon => return Ok(()),
                         PolicyPop::Retry => continue,
-                        PolicyPop::Run(ev) => {
-                            debug_assert!(ev.time >= st.now, "event queue went backwards");
-                            st.now = ev.time;
-                            match ev.kind {
-                                EventKind::Call(f) | EventKind::LinkFault(f) => {
-                                    st.executed += 1;
-                                    Dispatch::Call(f, ev.time)
-                                }
-                                // No wake coalescing: each wake must remain
-                                // an individually orderable scheduling unit.
-                                EventKind::Resume(pid, kind) => {
-                                    if st.proc_is_coro(pid) {
-                                        Dispatch::Poll(pid, ev.time, kind)
-                                    } else {
-                                        Dispatch::Wakes(
-                                            pid,
-                                            ev.time,
-                                            WakeBatch::single(kind, ev.time),
-                                        )
-                                    }
-                                }
-                            }
-                        }
+                        PolicyPop::Run(ev) => ev,
                     }
                 } else {
-                    match st.queue.pop() {
-                        None => return st.drained(),
-                        Some(ev) => {
-                            // Resumes aimed at dead processes are stale: drop them
-                            // without advancing the clock, so a killed process's
-                            // pending wakes don't distort the final time.
-                            if let EventKind::Resume(pid, _) = ev.kind {
-                                let alive = st.procs.get(pid).map(|e| e.alive).unwrap_or(false);
-                                if !alive {
-                                    continue;
-                                }
-                            }
-                            debug_assert!(ev.time >= st.now, "event queue went backwards");
-                            // Past the horizon: stop without consuming the event
-                            // (the clock must not advance beyond max_time).
-                            if st.max_time.map(|mt| ev.time > mt).unwrap_or(false) {
-                                st.stop_requested = true;
-                                return Ok(());
-                            }
-                            st.now = ev.time;
-                            match ev.kind {
-                                EventKind::Call(f) | EventKind::LinkFault(f) => {
-                                    st.executed += 1;
-                                    Dispatch::Call(f, ev.time)
-                                }
-                                EventKind::Resume(pid, kind) => {
-                                    if st.proc_is_coro(pid) {
-                                        // Coroutine backend: no wake batching
-                                        // — there is no handoff to save, each
-                                        // wake is one inline poll. Consecutive
-                                        // same-time wakes pop back-to-back
-                                        // with nothing in between (they share
-                                        // the process's tiebreak lane), so
-                                        // delivery order matches the threaded
-                                        // backend's batched order exactly.
-                                        Dispatch::Poll(pid, ev.time, kind)
-                                    } else {
-                                        let mut wakes = WakeBatch::single(kind, ev.time);
-                                        if batching {
-                                            // Coalesce every immediately-following
-                                            // same-time wake for this process into
-                                            // one token handoff. Same-lane same-time
-                                            // events pop in scheduling order under
-                                            // any tiebreak seed, so the batch
-                                            // preserves exactly the order the
-                                            // unbatched loop would deliver.
-                                            // (`executed` for wake batches is
-                                            // accounted after delivery — see
-                                            // `resume_process`.)
-                                            while let Some(next) = st.queue.pop_if(|t, k| {
-                                                t == ev.time
-                                                    && matches!(k, EventKind::Resume(p, _) if *p == pid)
-                                            }) {
-                                                if let EventKind::Resume(_, k) = next.kind {
-                                                    wakes.push_back(k, next.time);
-                                                }
-                                            }
-                                        }
-                                        Dispatch::Wakes(pid, ev.time, wakes)
-                                    }
-                                }
-                            }
+                    let Some(ev) = st.queue.pop() else {
+                        return st.drained();
+                    };
+                    // Resumes aimed at dead processes are stale: drop them
+                    // without advancing the clock, so a killed process's
+                    // pending wakes don't distort the final time.
+                    if let EventKind::Resume(pid, _) = ev.kind {
+                        let alive = st.procs.get(pid).map(|e| e.alive).unwrap_or(false);
+                        if !alive {
+                            continue;
                         }
                     }
+                    // Past the horizon: stop without consuming the event
+                    // (the clock must not advance beyond max_time).
+                    if st.max_time.map(|mt| ev.time > mt).unwrap_or(false) {
+                        st.stop_requested = true;
+                        return Ok(());
+                    }
+                    ev
+                };
+                debug_assert!(ev.time >= st.now, "event queue went backwards");
+                st.now = ev.time;
+                match ev.kind {
+                    EventKind::Call(f) | EventKind::LinkFault(f) => {
+                        st.executed += 1;
+                        Dispatch::Call(f, ev.time)
+                    }
+                    EventKind::Resume(pid, kind) => Dispatch::Poll(pid, ev.time, kind),
                 }
             };
             match dispatch {
@@ -1027,11 +801,6 @@ impl Sim {
                     };
                     f(&sc);
                 }
-                Dispatch::Wakes(pid, time, wakes) => {
-                    if let Some(err) = self.resume_process(pid, wakes, time) {
-                        return Err(err);
-                    }
-                }
                 Dispatch::Poll(pid, time, kind) => {
                     if let Some(err) = self.drive_coro(pid, kind, time) {
                         return Err(err);
@@ -1041,13 +810,12 @@ impl Sim {
         }
     }
 
-    /// Step a coroutine-backed process: deposit the wake and poll its state
-    /// machine inline. The machine is taken out of the table and polled
-    /// *outside* the state lock — polling reenters the kernel (`exec`
-    /// schedules its Call event). A kill wake never reaches the machine:
-    /// killing is a state transition in which the kernel drops the machine
-    /// (running its Drop impls, the analogue of the threaded backend's
-    /// `KilledSignal` unwind) and records the exit.
+    /// Step a process: deposit the wake and poll its state machine inline.
+    /// The machine is taken out of the table and polled *outside* the state
+    /// lock — polling reenters the kernel (`exec` schedules its Call
+    /// event). A kill wake never reaches the machine: killing is a state
+    /// transition in which the kernel drops the machine (running its Drop
+    /// impls) and records the exit.
     fn drive_coro(&self, pid: Pid, kind: WakeKind, now: SimTime) -> Option<SimError> {
         enum Step {
             Drop(ProcBody),
@@ -1056,8 +824,8 @@ impl Sim {
         }
         let step = {
             let mut st = self.shared.state.lock();
-            // One executed event per delivered wake, matching the threaded
-            // backend's per-wake accounting (a kill delivery also counts 1).
+            // One executed event per delivered wake (a kill delivery also
+            // counts 1).
             st.executed += 1;
             let e = st.procs.get_mut(pid)?;
             if !e.alive {
@@ -1074,14 +842,14 @@ impl Sim {
                         let ctx = ProcCtx {
                             pid,
                             name: Arc::clone(&e.name),
-                            driver: Driver::Coro(Arc::clone(&slot)),
+                            wake: Arc::clone(&slot),
                             shared: Arc::clone(&self.shared),
                             local_time: now,
                         };
                         Step::Start(factory, slot, ctx)
                     }
                     ProcBody::Coro { fut, slot } => {
-                        slot.put(WakeKind::Normal, now);
+                        slot.put(now);
                         Step::Poll(fut, slot)
                     }
                     other => {
@@ -1098,7 +866,7 @@ impl Sim {
                 // Drop outside the lock: the machine's Drop impls may run
                 // arbitrary model-state destructors.
                 drop(body);
-                return self.record_coro_exit(pid, now, ProcessExit::Killed);
+                return self.record_exit(pid, now, ProcessExit::Killed);
             }
             Step::Start(factory, slot, ctx) => (CoroStep::New(factory, ctx), slot),
             Step::Poll(fut, slot) => (CoroStep::Existing(fut), slot),
@@ -1107,8 +875,8 @@ impl Sim {
             New(EmbryoFn, ProcCtx),
             Existing(CoroFuture),
         }
-        // Construct (first wake) and poll with panics contained, exactly as
-        // the threaded trampoline's catch_unwind does.
+        // Construct (first wake) and poll with panics contained: a panicking
+        // body becomes a `ProcessExit::Panicked`, not a kernel unwind.
         let polled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut fut = match pending {
                 CoroStep::New(factory, ctx) => factory(ctx),
@@ -1129,22 +897,16 @@ impl Sim {
                 }
                 None
             }
-            Ok(None) => self.record_coro_exit(pid, now, ProcessExit::Normal),
+            Ok(None) => self.record_exit(pid, now, ProcessExit::Normal),
             Err(payload) => {
-                let status = if payload.downcast_ref::<KilledSignal>().is_some() {
-                    ProcessExit::Killed
-                } else {
-                    ProcessExit::Panicked(panic_message(payload))
-                };
-                self.record_coro_exit(pid, now, status)
+                self.record_exit(pid, now, ProcessExit::Panicked(panic_message(payload)))
             }
         }
     }
 
-    /// Exit bookkeeping for a coroutine-backed process: mirror of the
-    /// threaded backend's `resume_process` exit branch (dead-mark, pending
-    /// `exec` cancellation, exit trace and record, panic escalation).
-    fn record_coro_exit(&self, pid: Pid, now: SimTime, status: ProcessExit) -> Option<SimError> {
+    /// Exit bookkeeping: dead-mark, pending `exec` cancellation, exit trace
+    /// and record, panic escalation.
+    fn record_exit(&self, pid: Pid, now: SimTime, status: ProcessExit) -> Option<SimError> {
         let mut st = self.shared.state.lock();
         let name = if let Some(e) = st.procs.get_mut(pid) {
             e.alive = false;
@@ -1177,77 +939,13 @@ impl Sim {
         None
     }
 
-    /// Hand the token to `pid` with a batch of wakes; returns an error for
-    /// real panics. Event accounting happens here, after delivery: the
-    /// process consumed `delivered` of the batch, and each consumed wake is
-    /// one executed event — exactly what the unbatched loop would have
-    /// counted, because the wakes it left unconsumed (it exited mid-batch)
-    /// are the ones that loop would have dropped as stale. A process found
-    /// already dead still counts its one popped wake, as before.
-    fn resume_process(&self, pid: Pid, wakes: WakeBatch, now: SimTime) -> Option<SimError> {
-        let handoff = {
-            let st = self.shared.state.lock();
-            match st.procs.get(pid) {
-                Some(e) if e.alive => match &e.body {
-                    ProcBody::Threaded { handoff, .. } => Arc::clone(handoff),
-                    // Only threaded processes are dispatched as wake batches.
-                    _ => return None,
-                },
-                _ => return None, // stale resume for a dead process
-            }
-        };
-        let (outcome, delivered) = handoff.resume_batch(wakes);
-        let mut st = self.shared.state.lock();
-        st.executed += (delivered as u64).max(1);
-        st.handoffs_saved += delivered.saturating_sub(1) as u64;
-        match outcome {
-            ResumeOutcome::Parked => None,
-            ResumeOutcome::Exited(status) => {
-                let name = if let Some(e) = st.procs.get_mut(pid) {
-                    e.alive = false;
-                    let pending = e.pending_exec.take();
-                    let name = Arc::clone(&e.name);
-                    if let Some(id) = pending {
-                        st.queue.cancel(id);
-                    }
-                    name
-                } else {
-                    Arc::from("?")
-                };
-                if st.tracer.enabled() {
-                    let detail = format!("exit '{name}': {status:?}");
-                    st.tracer.record(TraceEvent {
-                        time: now,
-                        kind: TraceKind::Exit,
-                        pid: Some(pid),
-                        detail,
-                    });
-                }
-                st.exits.push((pid, Arc::clone(&name), status.clone()));
-                if let ProcessExit::Panicked(message) = status {
-                    return Some(SimError::ProcessPanicked {
-                        name: name.to_string(),
-                        message,
-                    });
-                }
-                None
-            }
-        }
-    }
-
-    /// Kill every remaining process (lowest pid first) and join all threads.
+    /// Kill every remaining process, lowest pid first, dropping each state
+    /// machine outside the lock (its Drop impls may run arbitrary model-state
+    /// destructors).
     fn teardown(&mut self) {
-        // Decide each victim's backend under the lock but act outside it:
-        // threaded kills rendezvous with the process thread, and coroutine
-        // drops may run arbitrary Drop impls.
-        enum Victim {
-            Coro(Pid, ProcBody, SimTime),
-            Threaded(Pid, Arc<Handoff>, Arc<str>, SimTime),
-        }
         loop {
-            let victim = {
+            let body = {
                 let mut st = self.shared.state.lock();
-                let now = st.now;
                 let Some(pid) = st
                     .procs
                     .iter()
@@ -1260,57 +958,14 @@ impl Sim {
                 let Some(e) = st.procs.get_mut(pid) else {
                     break;
                 };
-                match &e.body {
-                    ProcBody::Threaded { handoff, .. } => {
-                        Victim::Threaded(pid, Arc::clone(handoff), Arc::clone(&e.name), now)
-                    }
-                    _ => {
-                        let body = std::mem::replace(&mut e.body, ProcBody::Gone);
-                        e.alive = false;
-                        let name = Arc::clone(&e.name);
-                        st.exits.push((pid, name, ProcessExit::Killed));
-                        Victim::Coro(pid, body, now)
-                    }
-                }
+                let body = std::mem::replace(&mut e.body, ProcBody::Gone);
+                e.alive = false;
+                let name = Arc::clone(&e.name);
+                st.exits.push((pid, name, ProcessExit::Killed));
+                body
             };
-            match victim {
-                Victim::Coro(_pid, body, _now) => drop(body),
-                Victim::Threaded(pid, handoff, name, now) => {
-                    if let ResumeOutcome::Exited(status) = handoff.resume(WakeKind::Killed, now) {
-                        let mut st = self.shared.state.lock();
-                        if let Some(e) = st.procs.get_mut(pid) {
-                            e.alive = false;
-                        }
-                        st.exits.push((pid, name, status));
-                    } else {
-                        // A process that parks again after a kill wake would
-                        // be a trampoline bug; mark it dead to guarantee
-                        // loop progress.
-                        let mut st = self.shared.state.lock();
-                        if let Some(e) = st.procs.get_mut(pid) {
-                            e.alive = false;
-                        }
-                    }
-                }
-            }
+            drop(body);
         }
-        // Join dedicated (escape-hatch) threads, then wait for every pooled
-        // worker leased by this simulation to finish its trampoline. After
-        // this, no thread still references this Sim's state.
-        let joins: Vec<JoinHandle<()>> = {
-            let mut st = self.shared.state.lock();
-            st.procs
-                .values_mut()
-                .filter_map(|e| match &mut e.body {
-                    ProcBody::Threaded { join, .. } => join.take(),
-                    _ => None,
-                })
-                .collect()
-        };
-        for j in joins {
-            let _ = j.join();
-        }
-        pool::wait_group_idle(&self.shared.leases);
     }
 }
 

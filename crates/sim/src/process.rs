@@ -4,16 +4,9 @@
 //! enum-encoded state machine with one suspension point per kernel
 //! interaction ([`ProcCtx::exec`] and the sleep helpers built on it). The
 //! kernel owns the machine and steps it inline from the event loop: a
-//! Resume event is a direct `poll` call on the scheduler's own thread — no
-//! OS thread, no Condvar round-trip, no execution token.
-//!
-//! The legacy *threaded* backend (`FTMPI_THREADED=1`) drives the same async
-//! body on a pooled OS thread instead: the whole body runs inside a single
-//! `poll` whose suspension points block on the token-handoff rendezvous
-//! ([`Handoff`]), preserving the historical cooperative-thread semantics
-//! bit for bit. Exactly one thread runs at a time under that backend —
-//! either the kernel loop or one simulated process — so model state never
-//! sees concurrent access in either mode.
+//! Resume event is a direct `poll` call on the scheduler's own thread.
+//! Exactly one machine steps at a time, so model state never sees
+//! concurrent access.
 
 use std::fmt;
 use std::future::Future;
@@ -22,13 +15,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::kernel::SimCtx;
 use crate::reply::Reply;
 use crate::time::{SimDuration, SimTime};
-use crate::wakes::WakeBatch;
-use crate::KilledSignal;
 
 /// Identifier of a simulated process. Never reused within a simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -69,13 +60,13 @@ pub(crate) enum WakeKind {
     Killed,
 }
 
-/// The wake mailbox of a coroutine-backed process: the kernel drive loop
-/// deposits exactly one `(kind, time)` wake here immediately before polling
-/// the process's state machine, and the machine's pending suspension point
-/// consumes it. Single-threaded in practice (only the kernel loop touches
-/// it); the mutex exists so the future stays `Send` for storage in the
-/// shared kernel state.
-pub(crate) struct WakeSlot(Mutex<Option<(WakeKind, SimTime)>>);
+/// The wake mailbox of a process: the kernel drive loop deposits the
+/// resume time here immediately before polling the process's state
+/// machine, and the machine's pending suspension point consumes it. Only
+/// Normal wakes arrive here — a kill drops the machine instead. Only the
+/// kernel loop touches it; the mutex exists so the future stays `Send` for
+/// storage in the shared kernel state.
+pub(crate) struct WakeSlot(Mutex<Option<SimTime>>);
 
 impl WakeSlot {
     pub fn new() -> Arc<WakeSlot> {
@@ -83,8 +74,8 @@ impl WakeSlot {
     }
 
     /// Kernel side: deposit the wake the next poll will consume.
-    pub fn put(&self, kind: WakeKind, now: SimTime) {
-        let prev = self.0.lock().replace((kind, now));
+    pub fn put(&self, now: SimTime) {
+        let prev = self.0.lock().replace(now);
         debug_assert!(
             prev.is_none(),
             "wake deposited while a previous wake was still unconsumed"
@@ -92,173 +83,23 @@ impl WakeSlot {
     }
 
     /// Suspension side: consume the pending wake, if any.
-    pub fn take(&self) -> Option<(WakeKind, SimTime)> {
+    pub fn take(&self) -> Option<SimTime> {
         self.0.lock().take()
     }
 }
 
-enum HandoffState {
-    /// The kernel (or nobody yet) holds the token.
-    KernelHeld,
-    /// The process holds the token and should run.
-    ProcessHeld(WakeKind, SimTime),
-    /// The process thread has terminated.
-    Exited(ProcessExit),
-}
-
-/// Outcome observed by the kernel after handing the token to a process.
-pub(crate) enum ResumeOutcome {
-    Parked,
-    Exited(ProcessExit),
-}
-
-struct HandoffInner {
-    state: HandoffState,
-    /// Wakes delivered with the current token handoff but not yet consumed.
-    /// A parked process drains this batch in FIFO order before giving the
-    /// token back, so a batch of same-time wakes costs one Condvar
-    /// round-trip instead of one per wake. The inline-storage batch keeps
-    /// the common cases (one wake, or a handful of coalesced ones) free of
-    /// heap allocation.
-    pending: WakeBatch,
-    /// Wakes the process has consumed during the current `resume_batch`.
-    delivered: usize,
-}
-
-/// The token-passing rendezvous between the kernel loop and one process
-/// (threaded backend only).
-pub(crate) struct Handoff {
-    inner: Mutex<HandoffInner>,
-    cv: Condvar,
-}
-
-impl Handoff {
-    pub fn new() -> Arc<Handoff> {
-        Arc::new(Handoff {
-            inner: Mutex::new(HandoffInner {
-                state: HandoffState::KernelHeld,
-                pending: WakeBatch::new(),
-                delivered: 0,
-            }),
-            cv: Condvar::new(),
-        })
-    }
-
-    /// Kernel side: deliver a single wake (see [`Handoff::resume_batch`]).
-    pub fn resume(&self, kind: WakeKind, now: SimTime) -> ResumeOutcome {
-        self.resume_batch(WakeBatch::single(kind, now)).0
-    }
-
-    /// Kernel side: give the token to the process with a non-empty FIFO
-    /// batch of wakes and wait until it parks or exits. Returns the outcome
-    /// and how many of the wakes the process actually consumed (a process
-    /// that exits mid-batch leaves the rest undelivered, exactly like the
-    /// unbatched kernel dropping stale wakes for a dead process). Must be
-    /// called *without* holding the kernel state lock.
-    pub fn resume_batch(&self, mut wakes: WakeBatch) -> (ResumeOutcome, usize) {
-        let mut st = self.inner.lock();
-        match st.state {
-            HandoffState::Exited(ref e) => return (ResumeOutcome::Exited(e.clone()), 0),
-            HandoffState::KernelHeld => {
-                let (kind, now) = wakes.pop_front().expect("resume_batch with no wakes");
-                st.pending = wakes;
-                st.delivered = 1;
-                st.state = HandoffState::ProcessHeld(kind, now);
-                self.cv.notify_all();
-            }
-            HandoffState::ProcessHeld(..) => {
-                unreachable!("kernel resumed a process that already holds the token")
-            }
-        }
-        loop {
-            match st.state {
-                HandoffState::KernelHeld => {
-                    debug_assert!(st.pending.is_empty(), "token returned with wakes pending");
-                    return (ResumeOutcome::Parked, st.delivered);
-                }
-                HandoffState::Exited(ref e) => {
-                    let status = e.clone();
-                    // Leftover wakes were aimed at a now-dead process; they
-                    // are stale by definition and must not be re-queued.
-                    st.pending.clear();
-                    return (ResumeOutcome::Exited(status), st.delivered);
-                }
-                HandoffState::ProcessHeld(..) => self.cv.wait(&mut st),
-            }
-        }
-    }
-
-    /// Process side: give the token back and wait for the next wake.
-    /// Returns the wake kind and the kernel time of the resume.
-    pub fn park(&self) -> (WakeKind, SimTime) {
-        let mut st = self.inner.lock();
-        debug_assert!(
-            matches!(st.state, HandoffState::ProcessHeld(..)),
-            "park() called by a process that does not hold the token"
-        );
-        if let Some((kind, now)) = st.pending.pop_front() {
-            // Fast path: consume the next batched wake while keeping the
-            // token — no Condvar round-trip through the kernel.
-            st.delivered += 1;
-            st.state = HandoffState::ProcessHeld(kind, now);
-            return (kind, now);
-        }
-        st.state = HandoffState::KernelHeld;
-        self.cv.notify_all();
-        loop {
-            if let HandoffState::ProcessHeld(kind, now) = st.state {
-                return (kind, now);
-            }
-            self.cv.wait(&mut st);
-        }
-    }
-
-    /// Process side: wait for the very first wake after spawn.
-    pub fn wait_first_wake(&self) -> (WakeKind, SimTime) {
-        let mut st = self.inner.lock();
-        loop {
-            if let HandoffState::ProcessHeld(kind, now) = st.state {
-                return (kind, now);
-            }
-            self.cv.wait(&mut st);
-        }
-    }
-
-    /// Process side: announce termination and release the token.
-    pub fn exit(&self, status: ProcessExit) {
-        let mut st = self.inner.lock();
-        st.state = HandoffState::Exited(status);
-        self.cv.notify_all();
-    }
-}
-
-/// How this process's suspension points synchronize with the kernel.
-pub(crate) enum Driver {
-    /// Default backend: the kernel polls the state machine inline; a
-    /// suspension returns `Pending` and the next wake arrives through the
-    /// [`WakeSlot`] immediately before the next poll.
-    Coro(Arc<WakeSlot>),
-    /// Legacy backend (`FTMPI_THREADED=1`): a suspension blocks the pooled
-    /// OS thread on the token handoff and returns `Ready` once woken, so
-    /// the whole process body completes in a single outer poll.
-    Threaded(Arc<Handoff>),
-}
-
-/// One suspension point: resolves to the next `(kind, time)` wake.
+/// One suspension point: resolves to the kernel time of the next wake.
 struct Suspend<'a> {
-    driver: &'a Driver,
+    slot: &'a WakeSlot,
 }
 
 impl Future for Suspend<'_> {
-    type Output = (WakeKind, SimTime);
+    type Output = SimTime;
 
     fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
-        match self.driver {
-            Driver::Coro(slot) => match slot.take() {
-                Some(wake) => Poll::Ready(wake),
-                None => Poll::Pending,
-            },
-            Driver::Threaded(handoff) => Poll::Ready(handoff.park()),
+        match self.slot.take() {
+            Some(now) => Poll::Ready(now),
+            None => Poll::Pending,
         }
     }
 }
@@ -271,7 +112,7 @@ impl Future for Suspend<'_> {
 pub struct ProcCtx {
     pub(crate) pid: Pid,
     pub(crate) name: Arc<str>,
-    pub(crate) driver: Driver,
+    pub(crate) wake: Arc<WakeSlot>,
     pub(crate) shared: Arc<crate::kernel::Shared>,
     pub(crate) local_time: SimTime,
 }
@@ -314,16 +155,9 @@ impl ProcCtx {
         let reply = Reply::new(self.pid, Arc::clone(&slot));
         self.shared
             .schedule_exec(self.pid, self.local_time, move |sc| f(sc, reply));
-        let (kind, resume_time) = Suspend {
-            driver: &self.driver,
-        }
-        .await;
-        if matches!(kind, WakeKind::Killed) {
-            // Threaded backend only: unwind the OS thread. The coroutine
-            // backend never delivers a kill wake — the kernel drops the
-            // state machine instead (the suspension simply never resolves).
-            std::panic::panic_any(KilledSignal);
-        }
+        // A kill never resolves this suspension: the kernel drops the
+        // state machine instead, running every live local's destructor.
+        let resume_time = Suspend { slot: &self.wake }.await;
         if resume_time > self.local_time {
             self.local_time = resume_time;
         }

@@ -31,7 +31,7 @@ use crate::time::SimTime;
 pub enum CandidateKind {
     /// A model closure (`Call` event).
     Call,
-    /// A token handoff waking the given process.
+    /// A wake (resume or kill) aimed at the given process.
     Resume(Pid),
     /// A scheduled network-fault transition.
     LinkFault,

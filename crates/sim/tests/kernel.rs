@@ -1,6 +1,10 @@
 //! Integration tests for the simulation kernel: scheduling, lazy clocks,
-//! suspension/waking, kill semantics, determinism, deadlock detection, and
-//! coroutine/threaded backend equivalence.
+//! suspension/waking, kill semantics, determinism, and deadlock detection.
+//!
+//! The mixed-workload and kill tests assert literal run observables. They
+//! were captured while a thread-per-rank backend still existed alongside
+//! the coroutine kernel, and both backends produced exactly these values;
+//! the numbers now pin that equivalence without the second backend.
 
 use std::sync::Arc;
 
@@ -305,13 +309,12 @@ fn many_processes_scale() {
     assert_eq!(*counter.lock(), 600);
 }
 
-/// The coroutine backend must host far more processes than any thread pool
-/// could: 50k sleepers complete with bounded OS threads (the scale_bench
-/// binary exercises the full 10⁵-rank workload).
+/// Coroutine processes cost no OS thread: 50k sleepers complete on the
+/// kernel's own thread (the scale_bench binary exercises the full
+/// 10⁵-rank workload).
 #[test]
-fn coroutine_backend_hosts_tens_of_thousands_of_processes() {
+fn kernel_hosts_tens_of_thousands_of_processes() {
     let mut sim = Sim::new();
-    sim.force_threaded(false);
     let counter = Arc::new(Mutex::new(0u64));
     for i in 0..50_000u64 {
         let c = Arc::clone(&counter);
@@ -430,25 +433,20 @@ fn max_time_never_advances_past_the_horizon() {
     );
 }
 
+/// A wake and a kill landing at the same instant on one process: the wake
+/// pops first (same lane, scheduling order), the process suspends again,
+/// and the kill then drops it before its next sleep completes.
 #[test]
-fn same_time_wake_and_kill_batch_into_one_handoff() {
-    // Threaded backend: a wake and a kill landing at the same instant share
-    // one token handoff (PR 3's batching). The coroutine backend has no
-    // handoffs to save — the equivalent schedule is checked by the
-    // differential test below.
+fn same_time_wake_and_kill_kills_at_that_instant() {
     let mut sim = Sim::new();
-    sim.force_threaded(true);
     let victim = sim.spawn("victim", |mut ctx| async move {
         ctx.sleep(SimDuration::from_secs(5)).await;
-        // The kill wake is already pending when this suspension happens, so
-        // the process unwinds here without another kernel round-trip.
         ctx.sleep(SimDuration::from_secs(10)).await;
         unreachable!("killed at 5s");
     });
     // Route the kill through a t=1s hop so its 5s call is pushed *after*
     // the sleeper's completion call: at 5s the sleep wake is queued first,
-    // then the Killed resume lands right behind it — two same-time wakes
-    // on one lane, delivered as one batch.
+    // then the Killed resume lands right behind it on the same lane.
     sim.schedule(SimTime::from_nanos(1_000_000_000), move |sc| {
         sc.schedule_in(SimDuration::from_secs(4), move |sc| sc.kill(victim));
     });
@@ -457,54 +455,16 @@ fn same_time_wake_and_kill_batch_into_one_handoff() {
         .exits
         .iter()
         .any(|(p, _, e)| *p == victim && *e == ProcessExit::Killed));
-    if std::env::var_os("FTMPI_NO_BATCH").is_none() {
-        assert_eq!(
-            report.handoffs_saved, 1,
-            "both wakes should share a handoff"
-        );
-    } else {
-        assert_eq!(report.handoffs_saved, 0);
-    }
+    assert_eq!(report.final_time, SimTime::from_nanos(5_000_000_000));
 }
 
+/// Drive one mixed workload (sleep chains, kills at degenerate instants)
+/// and compare every observable of the run report against the golden
+/// tuple.
 #[test]
-fn pool_reuses_rank_threads_across_sims() {
-    // The lease pool serves the threaded backend only; force it so the test
-    // keeps covering the pool when the coroutine backend is the default.
-    let before = ftmpi_sim::pool_stats();
-    for round in 0..3 {
+fn mixed_workload_report_matches_golden() {
+    fn run() -> (u64, u64, Vec<(String, ProcessExit)>, usize) {
         let mut sim = Sim::new();
-        sim.force_threaded(true);
-        for i in 0..4 {
-            sim.spawn(format!("r{round}-{i}"), |mut ctx| async move {
-                ctx.sleep(SimDuration::from_nanos(1)).await;
-            });
-        }
-        sim.run().unwrap();
-        // Sim teardown quiesces its lease group, so every worker is back
-        // in the idle queue before the next round spawns.
-    }
-    let after = ftmpi_sim::pool_stats();
-    assert!(
-        after.checkouts >= before.checkouts + 12,
-        "12 spawns must be visible in the pool counters: {before:?} -> {after:?}"
-    );
-    if std::env::var_os("FTMPI_NO_POOL").is_none() {
-        assert!(
-            after.reused > before.reused,
-            "serial churn must reuse parked workers: {before:?} -> {after:?}"
-        );
-    }
-}
-
-/// Drive one mixed workload (sleep chains, reply-completed execs, kills at
-/// degenerate instants, a panicless respawn) through both backends and
-/// compare every observable of the run report.
-#[test]
-fn backends_produce_identical_reports() {
-    fn run(threaded: bool) -> (u64, u64, Vec<(String, ProcessExit)>, usize) {
-        let mut sim = Sim::new();
-        sim.force_threaded(threaded);
         sim.enable_trace();
         let log: Arc<Mutex<Vec<(String, u64)>>> = Arc::new(Mutex::new(Vec::new()));
         for (name, step) in [("a", 3u64), ("b", 5u64), ("c", 7u64)] {
@@ -537,17 +497,31 @@ fn backends_produce_identical_reports() {
             report.trace.len(),
         )
     }
-    assert_eq!(run(false), run(true));
+    let killed = ProcessExit::Killed;
+    let normal = ProcessExit::Normal;
+    assert_eq!(
+        run(),
+        (
+            28_000_000_000,
+            30,
+            vec![
+                ("victim".to_string(), killed),
+                ("a".to_string(), normal.clone()),
+                ("b".to_string(), normal.clone()),
+                ("c".to_string(), normal),
+            ],
+            9,
+        )
+    );
 }
 
 /// Kill delivered while the process is suspended mid-`exec` (its model call
 /// already queued but not yet run): the pending call must be cancelled and
-/// the exit recorded at the kill instant, identically on both backends.
+/// the exit recorded at the kill instant.
 #[test]
 fn kill_during_suspension_cancels_pending_exec() {
-    fn run(threaded: bool) -> (u64, u64, bool) {
+    fn run() -> (u64, u64, bool) {
         let mut sim = Sim::new();
-        sim.force_threaded(threaded);
         let side_effect = sim.shared_flag();
         let fx = side_effect.clone();
         let victim = sim.spawn("victim", move |mut ctx| async move {
@@ -573,10 +547,9 @@ fn kill_during_suspension_cancels_pending_exec() {
             side_effect.get(),
         )
     }
-    let coro = run(false);
-    let threaded = run(true);
-    assert_eq!(coro, threaded);
-    assert!(!coro.2, "cancelled exec must not mutate model state");
+    // (final time, events executed, side effect observed): the clock stops
+    // at the kill and the cancelled call never runs.
+    assert_eq!(run(), (10, 3, false));
 }
 
 /// A process killed before its first wake (spawned at a later start time)
@@ -584,9 +557,8 @@ fn kill_during_suspension_cancels_pending_exec() {
 /// completion — the restart-while-embryonic state transition.
 #[test]
 fn kill_before_first_wake_drops_the_unstarted_process() {
-    fn run(threaded: bool) -> (u64, bool, bool) {
+    fn run() -> (u64, bool, bool) {
         let mut sim = Sim::new();
-        sim.force_threaded(threaded);
         let started = sim.shared_flag();
         let replaced = sim.shared_flag();
         let s2 = started.clone();
@@ -613,8 +585,104 @@ fn kill_before_first_wake_drops_the_unstarted_process() {
             .any(|(p, _, e)| *p == victim && *e == ProcessExit::Killed));
         (report.events_executed, started.get(), replaced.get())
     }
-    let coro = run(false);
-    assert_eq!(coro, run(true));
-    assert!(!coro.1, "killed-before-start process must never run");
-    assert!(coro.2, "replacement must complete");
+    // (events executed, victim started, replacement finished).
+    let (events, started, replaced) = run();
+    assert!(!started, "killed-before-start process must never run");
+    assert!(replaced, "replacement must complete");
+    assert_eq!(events, 5);
+}
+
+/// Counts how many times a process's future-held local is dropped, and
+/// records the kernel-visible instant of the (last) drop.
+struct DropGuard {
+    drops: Arc<Mutex<Vec<u64>>>,
+    clock: Arc<Mutex<u64>>,
+}
+
+impl Drop for DropGuard {
+    fn drop(&mut self) {
+        let at = *self.clock.lock();
+        self.drops.lock().push(at);
+    }
+}
+
+/// A kill while suspended drops the process's future — and so every live
+/// local in it — exactly once, at the kill instant, before any later event
+/// runs.
+#[test]
+fn kill_while_suspended_drops_locals_once_at_the_kill_instant() {
+    let mut sim = Sim::new();
+    let drops: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
+    // Mirror of the kernel clock, advanced by the model events below.
+    let clock = Arc::new(Mutex::new(0u64));
+    let guard = DropGuard {
+        drops: Arc::clone(&drops),
+        clock: Arc::clone(&clock),
+    };
+    let victim = sim.spawn("victim", move |mut ctx| async move {
+        let _guard = guard;
+        ctx.sleep(SimDuration::from_secs(100)).await;
+        unreachable!("killed while suspended");
+    });
+    let c = Arc::clone(&clock);
+    sim.schedule(SimTime::from_nanos(40), move |sc| {
+        *c.lock() = sc.now().as_nanos();
+        sc.kill(victim);
+    });
+    let (c, d) = (Arc::clone(&clock), Arc::clone(&drops));
+    sim.schedule(SimTime::from_nanos(41), move |sc| {
+        *c.lock() = sc.now().as_nanos();
+        assert_eq!(*d.lock(), vec![40], "future not dropped at the kill");
+    });
+    let report = sim.run().unwrap();
+    assert_eq!(*drops.lock(), vec![40], "locals dropped more than once");
+    assert!(report
+        .exits
+        .iter()
+        .any(|(p, _, e)| *p == victim && *e == ProcessExit::Killed));
+}
+
+/// Teardown under `set_max_time` drops the futures of processes still
+/// parked at the horizon (started and unstarted alike), each exactly once,
+/// and records them as killed.
+#[test]
+fn teardown_at_the_horizon_drops_parked_futures() {
+    let mut sim = Sim::new();
+    sim.set_max_time(SimTime::from_nanos(1_000));
+    let drops: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
+    let clock = Arc::new(Mutex::new(0u64));
+    for i in 0..3u64 {
+        let guard = DropGuard {
+            drops: Arc::clone(&drops),
+            clock: Arc::clone(&clock),
+        };
+        sim.spawn(format!("parked{i}"), move |mut ctx| async move {
+            let _guard = guard;
+            ctx.sleep(SimDuration::from_secs(1 + i)).await;
+            unreachable!("runs past the horizon");
+        });
+    }
+    // Spawned past the horizon: never started, its closure (and the guard
+    // it captured) is dropped unstarted.
+    let guard = DropGuard {
+        drops: Arc::clone(&drops),
+        clock: Arc::clone(&clock),
+    };
+    sim.spawn_at(SimTime::from_nanos(5_000), "late", move |_ctx| async move {
+        let _guard = guard;
+        unreachable!("starts past the horizon");
+    });
+    let c = Arc::clone(&clock);
+    sim.schedule(SimTime::from_nanos(1_000), move |sc| {
+        *c.lock() = sc.now().as_nanos();
+    });
+    let report = sim.run().unwrap();
+    assert!(report.stopped);
+    assert_eq!(*drops.lock(), vec![1_000; 4]);
+    let killed = report
+        .exits
+        .iter()
+        .filter(|(_, _, e)| *e == ProcessExit::Killed)
+        .count();
+    assert_eq!(killed, 4);
 }

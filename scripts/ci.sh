@@ -21,9 +21,6 @@ cargo build --release --workspace
 echo "==> tier-1: cargo test -q"
 cargo test -q --workspace
 
-echo "==> tier-1 again under the legacy threaded backend (FTMPI_THREADED=1)"
-FTMPI_THREADED=1 cargo test -q --workspace
-
 echo "==> ftmpi-check lint"
 cargo run -q --release -p ftmpi-check -- lint
 
@@ -31,31 +28,29 @@ echo "==> ftmpi-check smoke (invariants + perturbation)"
 cargo run -q --release -p ftmpi-check -- smoke
 
 echo "==> ftmpi-check storm --smoke (kills, partitions, node deaths, corruption)"
-DIFF_TMP="${TMPDIR:-/tmp}/ftmpi-ci-backends-$$"
-rm -rf "$DIFF_TMP"
-mkdir -p "$DIFF_TMP"
-cargo run -q --release -p ftmpi-check -- storm --smoke | tee "$DIFF_TMP/storm-coro.log"
+# Outputs pinned by scripts/golden.sha256 are collected here and checked
+# after the fig5 cache round trip.
+GOLDEN_TMP="${TMPDIR:-/tmp}/ftmpi-ci-golden-$$"
+rm -rf "$GOLDEN_TMP"
+mkdir -p "$GOLDEN_TMP"
+cargo run -q --release -p ftmpi-check -- storm --smoke | tee "$GOLDEN_TMP/storm-smoke.log"
 # The integrity families must actually be in the campaign for both
 # protocols — a silent drop here would un-pin the corruption machinery.
 for fam in flipfetch scrubrace allreplicas tornwrite quarantine; do
-    grep -q "storm.corrupt.$fam.pcl" "$DIFF_TMP/storm-coro.log"
-    grep -q "storm.corrupt.$fam.vcl" "$DIFF_TMP/storm-coro.log"
+    grep -q "storm.corrupt.$fam.pcl" "$GOLDEN_TMP/storm-smoke.log"
+    grep -q "storm.corrupt.$fam.vcl" "$GOLDEN_TMP/storm-smoke.log"
 done
 
-echo "==> storm --smoke under FTMPI_THREADED=1 (must match state-for-state)"
-FTMPI_THREADED=1 cargo run -q --release -p ftmpi-check -- storm --smoke \
-    > "$DIFF_TMP/storm-threaded.log"
-cmp "$DIFF_TMP/storm-coro.log" "$DIFF_TMP/storm-threaded.log"
-
 echo "==> ftmpi-check explore --smoke (DPOR over tied schedules, BENCH_explore.json)"
-cargo run -q --release -p ftmpi-check -- explore --smoke | tee "$DIFF_TMP/explore-coro.log"
-
-echo "==> explore --smoke under FTMPI_THREADED=1 (must match state-for-state)"
-FTMPI_THREADED=1 cargo run -q --release -p ftmpi-check -- explore --smoke \
-    > "$DIFF_TMP/explore-threaded.log"
-cmp "$DIFF_TMP/explore-coro.log" "$DIFF_TMP/explore-threaded.log"
+cargo run -q --release -p ftmpi-check -- explore --smoke | tee "$GOLDEN_TMP/explore-raw.log"
+# Reproducer and BENCH paths print absolute: strip the checkout root so
+# the pinned digest does not depend on where the repo lives.
+sed "s|$PWD/||g" "$GOLDEN_TMP/explore-raw.log" > "$GOLDEN_TMP/explore-smoke.log"
 
 echo "==> ftmpi-check storm --mine --smoke (coverage-guided miner, BENCH_storm.json)"
+DIFF_TMP="${TMPDIR:-/tmp}/ftmpi-ci-mine-$$"
+rm -rf "$DIFF_TMP"
+mkdir -p "$DIFF_TMP"
 cargo run -q --release -p ftmpi-check -- storm --mine --smoke | tee "$DIFF_TMP/mine-1.log"
 cp BENCH_storm.json "$DIFF_TMP/mine-1.json"
 cp results/storm/corpus.txt "$DIFF_TMP/mine-1-corpus.txt"
@@ -92,30 +87,30 @@ mkdir -p "$CACHE_TMP"
 cargo run -q --release -p ftmpi-bench --bin fig5_servers -- \
     --fast --out "$CACHE_TMP/results" > "$CACHE_TMP/cold.log"
 cp "$CACHE_TMP/results/fig5.json" "$CACHE_TMP/cold.json"
+cp "$CACHE_TMP/results/fig5.json" "$GOLDEN_TMP/fig5.json"
 # Same figure against the now-populated cache: every configuration must
 # come from disk (zero misses, zero simulations) and the JSON must be
 # byte-identical to the cold run's.
 cargo run -q --release -p ftmpi-bench --bin fig5_servers -- \
     --fast --out "$CACHE_TMP/results" > "$CACHE_TMP/warm.log"
 grep -q "/ 0 misses" "$CACHE_TMP/warm.log"
-grep -q "rank-thread pool: 0 checkouts" "$CACHE_TMP/warm.log"
 cmp "$CACHE_TMP/cold.json" "$CACHE_TMP/results/fig5.json"
-# Ladder, pool, batching, and cache off: the figure must still be
+# Ladder, batching, and cache off: the figure must still be
 # byte-identical — the heap backend and unbatched flows are the reference
 # semantics, not a degraded mode.
 rm "$CACHE_TMP/results/fig5.json"
-FTMPI_NO_LADDER=1 FTMPI_NO_POOL=1 FTMPI_NO_BATCH=1 FTMPI_NO_CACHE=1 \
+FTMPI_NO_LADDER=1 FTMPI_NO_BATCH=1 FTMPI_NO_CACHE=1 \
     cargo run -q --release -p ftmpi-bench --bin fig5_servers -- \
     --fast --out "$CACHE_TMP/results" > "$CACHE_TMP/plain.log"
 cmp "$CACHE_TMP/cold.json" "$CACHE_TMP/results/fig5.json"
-# Legacy threaded rank backend: still byte-identical — the coroutine and
-# thread-per-rank executions are interchangeable wherever both can run.
-rm "$CACHE_TMP/results/fig5.json"
-FTMPI_THREADED=1 FTMPI_NO_CACHE=1 \
-    cargo run -q --release -p ftmpi-bench --bin fig5_servers -- \
-    --fast --out "$CACHE_TMP/results" > "$CACHE_TMP/threaded.log"
-cmp "$CACHE_TMP/cold.json" "$CACHE_TMP/results/fig5.json"
 rm -rf "$CACHE_TMP"
+
+echo "==> golden digests (cold fig5 --fast, storm --smoke, explore --smoke)"
+# Captured when a thread-per-rank backend still ran beside the coroutine
+# kernel and both produced these bytes (see DESIGN.md "Rank execution").
+ROOT="$PWD"
+(cd "$GOLDEN_TMP" && sha256sum -c "$ROOT/scripts/golden.sha256")
+rm -rf "$GOLDEN_TMP"
 
 echo "==> calibration seed cache (cold calibrate run, zero simulations)"
 SEED_TMP="${TMPDIR:-/tmp}/ftmpi-ci-seed-$$"
@@ -129,7 +124,7 @@ rm -rf "$SEED_TMP" "$SEED_TMP.log"
 echo "==> kernel microbench (ladder vs heap, BENCH_kernel.json)"
 cargo run -q --release -p ftmpi-bench --bin kernel_bench -- --quick
 
-echo "==> rank-scale bench (coroutines vs threads, 10^5-rank runs, BENCH_scale.json)"
+echo "==> rank-scale bench (512-rank and 10^5-rank runs, BENCH_scale.json)"
 cargo run -q --release -p ftmpi-bench --bin scale_bench -- --quick
 
 echo "CI green."
