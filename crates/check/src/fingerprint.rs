@@ -34,6 +34,13 @@ fn flush_bucket(h: &mut u64, time: u64, bucket: &mut Vec<String>) {
     }
 }
 
+/// Plain FNV-1a (64-bit) over `bytes`.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = FNV_OFFSET;
+    mix(&mut h, bytes);
+    h
+}
+
 /// FNV-1a digest of a trace's protocol content, canonical under
 /// permutations of same-instant events.
 pub fn trace_fingerprint(trace: &[TraceEvent]) -> u64 {

@@ -52,7 +52,7 @@ pub use explore::{
     differential, explore, explore_configs, parse_artifact, replay, ExploreConfig, ExploreOptions,
     ExploreOutcome, Repro, ViolationReport,
 };
-pub use fingerprint::trace_fingerprint;
+pub use fingerprint::{fnv1a, trace_fingerprint};
 pub use hb::{
     clock_trace, commutes, concurrent, happens_before, resources, ClockedEvent, Resource,
 };

@@ -40,6 +40,7 @@ use ftmpi_sim::{ProtoEvent, SimDuration, SimTime, TraceEvent, TraceKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::fingerprint::fnv1a;
 use crate::invariants::{check_trace, CheckReport};
 use crate::suite::{ring_app, stream_app};
 
@@ -81,6 +82,9 @@ pub struct StormOutcome {
     pub images_repaired: u64,
     /// Servers quarantined for exceeding the corruption threshold.
     pub servers_quarantined: u64,
+    /// FNV-1a of the run's full `JobResult::encode()` (0 when the run
+    /// failed): pins every counter, not just the ones printed above.
+    pub result_fnv: u64,
     /// The invariant-checker verdict (`None` when the run itself failed).
     pub report: Option<CheckReport>,
     /// Scenario assertions that did not hold, including run errors.
@@ -215,6 +219,7 @@ pub fn run_storm_traced(name: &str, spec: JobSpec) -> (StormOutcome, Vec<TraceEv
                 images_corrupt_detected: res.ft.images_corrupt_detected,
                 images_repaired: res.ft.images_repaired,
                 servers_quarantined: res.ft.servers_quarantined,
+                result_fnv: fnv1a(res.encode().as_bytes()),
                 report: Some(check_trace(protocol, nranks, &trace)),
                 failures: Vec::new(),
             };
@@ -256,6 +261,7 @@ pub(crate) fn profile_failure(name: &str, msg: String) -> StormOutcome {
         images_corrupt_detected: 0,
         images_repaired: 0,
         servers_quarantined: 0,
+        result_fnv: 0,
         report: None,
         failures: vec![msg],
     }

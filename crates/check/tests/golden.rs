@@ -12,7 +12,8 @@
 //! without one is a kernel regression.
 
 use ftmpi_check::{
-    check_trace, explore, explore_configs, smoke_probes, trace_fingerprint, ExploreOptions,
+    check_trace, explore, explore_configs, fnv1a, smoke_probes, storm_campaign, trace_fingerprint,
+    ExploreOptions,
 };
 use ftmpi_core::{
     run_job_with, FailurePlan, FtConfig, JobResult, JobSpec, ProtocolChoice, RunOptions,
@@ -30,16 +31,6 @@ struct Golden {
     trace_len: usize,
 }
 
-/// FNV-1a over the bytes of `s`.
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Run `spec` traced and assert its golden values; returns the run for
 /// further scenario assertions.
 fn assert_golden(name: &str, spec: JobSpec, golden: &Golden) -> (JobResult, Vec<TraceEvent>) {
@@ -52,7 +43,7 @@ fn assert_golden(name: &str, spec: JobSpec, golden: &Golden) -> (JobResult, Vec<
     )
     .expect("golden run");
     assert_eq!(
-        fnv1a(&res.encode()),
+        fnv1a(res.encode().as_bytes()),
         golden.encoded,
         "{name}: encoded result digest moved"
     );
@@ -236,4 +227,94 @@ fn mlog_restart_matches_golden_digests() {
     let (res, _) = assert_golden("mlog-kill", spec, &golden);
     assert_eq!(res.rt.restarts, 1);
     assert_eq!(res.leftover_unexpected, 0);
+}
+
+/// `(run name, StormOutcome::result_fnv)` of every `storm --smoke` run, in
+/// campaign order. The smoke campaign is what drives server loss, push
+/// reroutes, torn writes, replica walks, scrub and quarantine; its stdout
+/// prints only some of the counters, the digest pins all of them.
+const STORM_SMOKE: &[(&str, u64)] = &[
+    ("storm.midwave.kill.pcl", 0x24ec_e55c_fc80_01a4),
+    ("storm.midrecovery.kill.pcl", 0x4f72_5eb0_4f61_ee6d),
+    ("storm.lag.0.pcl", 0x1737_e3d9_2e6d_8e5f),
+    ("storm.lag.200ms.pcl", 0xd048_0faf_b4fc_2e22),
+    ("storm.lag.1s.pcl", 0xb9c6_09cd_59c1_40ae),
+    ("storm.serverloss.fallback.pcl", 0x7324_680d_78f2_7dde),
+    ("storm.serverloss.replicas.pcl", 0x78e0_6f37_251e_8cc7),
+    ("storm.serverloss.midwave.pcl", 0xcb89_45c3_2e44_f4d8),
+    ("storm.midwave.kill.vcl", 0x9df3_b80f_4790_9b2c),
+    ("storm.midrecovery.kill.vcl", 0x8255_a486_828b_d9c1),
+    ("storm.lag.0.vcl", 0xa4fc_2a0d_2971_e681),
+    ("storm.lag.200ms.vcl", 0x9544_35e5_bc24_767a),
+    ("storm.lag.1s.vcl", 0x3d7e_bed9_264f_a1b4),
+    ("storm.serverloss.fallback.vcl", 0xf071_a0c1_1785_de05),
+    ("storm.serverloss.replicas.vcl", 0xaa3f_0c22_187a_1db6),
+    ("storm.serverloss.midwave.vcl", 0x6613_c59d_9e9b_2b6e),
+    ("storm.partition.heal.pcl", 0x7895_ac4b_cad3_1864),
+    ("storm.partition.midwave.pcl", 0xc893_b9b8_ecad_05da),
+    ("storm.partition.recovery.pcl", 0xe1d5_5d9c_6331_03e1),
+    (
+        "storm.partition.fetchdup.control.pcl",
+        0x74cf_4111_c45c_5861,
+    ),
+    ("storm.partition.fetchdup.pcl", 0x1445_d5b0_acbf_b7cb),
+    ("storm.nodekill.colocated.pcl", 0xbbe3_6018_0ec5_e477),
+    ("storm.nodekill.soloreplica.pcl", 0x5b00_b75a_4f70_e052),
+    ("storm.flap.push.pcl", 0xdf90_84bc_2b6b_72c1),
+    ("storm.partition.outbound.pcl", 0xb108_1933_8239_0b9b),
+    ("storm.serverpart.reroute.pcl", 0x6059_477d_beea_e38f),
+    ("storm.serverpart.fetch.pcl", 0xc787_5f7c_d6fc_5eeb),
+    ("storm.corrupt.flipfetch.pcl", 0x1a48_4418_1bc9_e289),
+    ("storm.corrupt.scrubrace.pcl", 0x1835_a3ac_af51_6abb),
+    ("storm.corrupt.allreplicas.pcl", 0xb0e2_0d36_738c_3347),
+    ("storm.corrupt.tornwrite.pcl", 0x8fb5_2d92_6f88_5ac2),
+    ("storm.corrupt.quarantine.pcl", 0x88f0_6f9d_25be_7c1b),
+    ("storm.partition.heal.vcl", 0x8e83_3bab_76c6_26bc),
+    ("storm.partition.midwave.vcl", 0x9cd9_f44c_47e6_c626),
+    ("storm.partition.recovery.vcl", 0x8836_6d68_64da_1e1e),
+    (
+        "storm.partition.fetchdup.control.vcl",
+        0xf902_227f_ee05_c428,
+    ),
+    ("storm.partition.fetchdup.vcl", 0xc317_f2d9_74e6_796f),
+    ("storm.nodekill.colocated.vcl", 0x93b1_972d_64d6_2bd9),
+    ("storm.nodekill.soloreplica.vcl", 0x52eb_3d9e_f0bf_bae7),
+    ("storm.flap.push.vcl", 0xa459_5413_72e2_8432),
+    ("storm.partition.outbound.vcl", 0xb6bf_928c_10fe_e8ef),
+    ("storm.serverpart.reroute.vcl", 0xdce3_bbda_cd8f_33f8),
+    ("storm.serverpart.fetch.vcl", 0x7a92_7c0a_aae3_3f31),
+    ("storm.corrupt.flipfetch.vcl", 0xfd2f_582f_2902_9847),
+    ("storm.corrupt.scrubrace.vcl", 0xcc69_3ded_d593_8af3),
+    ("storm.corrupt.allreplicas.vcl", 0xcbb5_fc53_0627_92a0),
+    ("storm.corrupt.tornwrite.vcl", 0xd300_5bd1_ec2f_98b2),
+    ("storm.corrupt.quarantine.vcl", 0x0075_72b1_d3e1_7784),
+    ("storm.midwave.kill.stream2", 0x6c09_fc9a_ff93_e7bf),
+    ("storm.random.pcl.seed1", 0xb902_c5f7_9998_1f9c),
+    ("storm.random.pcl.seed2", 0x2ef1_bc86_4064_96cc),
+    ("storm.random.vcl.seed1", 0x6990_3b6e_43a2_7a71),
+    ("storm.random.vcl.seed2", 0x952f_cd3d_7abf_8159),
+];
+
+#[test]
+fn storm_smoke_matches_golden_digests() {
+    let found: Vec<(String, u64)> = storm_campaign(true)
+        .into_iter()
+        .map(|o| (o.name, o.result_fnv))
+        .collect();
+    let matches = found.len() == STORM_SMOKE.len()
+        && found
+            .iter()
+            .zip(STORM_SMOKE)
+            .all(|((name, fnv), (gname, gfnv))| name == gname && fnv == gfnv);
+    if !matches {
+        let table: String = found
+            .iter()
+            .map(|(name, fnv)| {
+                let hex = format!("{fnv:016x}");
+                let (a, b, c, d) = (&hex[..4], &hex[4..8], &hex[8..12], &hex[12..]);
+                format!("    (\"{name}\", 0x{a}_{b}_{c}_{d}),\n")
+            })
+            .collect();
+        panic!("storm --smoke digests moved; found:\n{table}");
+    }
 }
