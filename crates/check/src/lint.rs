@@ -1,6 +1,7 @@
 //! Hand-rolled workspace lint (no external dependencies, no syn).
 //!
-//! Six rules guard the determinism contract of the simulation:
+//! Seven rules guard the determinism contract of the simulation and the
+//! shape of the protocol code:
 //!
 //! * `wallclock-in-sim` — no `std::time::Instant` / `SystemTime` in the
 //!   simulation and protocol crates (`sim`, `net`, `mpi`, `core`, `nas`).
@@ -13,6 +14,10 @@
 //!   `any`, `all`, …) or followed by an explicit sort within a few lines.
 //! * `core-unwrap` — no `.unwrap()` in `crates/core/src`: protocol code
 //!   must carry an explanation (`expect`) or handle the `None`/`Err`.
+//! * `core-downcast` — no `downcast_mut` in `crates/core/src` outside
+//!   `engine.rs`: recovery and the runner reach an engine through the
+//!   `CheckpointEngine` trait, and an engine's own events through
+//!   `engine::with`, never through ad-hoc downcasts.
 //! * `lane-audit` — cross-file: every `EventKind` variant in
 //!   `crates/sim/src/event.rs` must appear at a schedule site that
 //!   assigns an explicit tiebreak lane (a 3-argument `EventQueue::push`
@@ -52,6 +57,8 @@ pub const RULE_WALLCLOCK: &str = "wallclock-in-sim";
 pub const RULE_HASHMAP_ORDER: &str = "hashmap-order";
 /// Rule id: `.unwrap()` in `crates/core`.
 pub const RULE_CORE_UNWRAP: &str = "core-unwrap";
+/// Rule id: `downcast_mut` in `crates/core` outside the engine module.
+pub const RULE_CORE_DOWNCAST: &str = "core-downcast";
 /// Rule id: `EventKind` variant never scheduled on a tiebreak lane.
 pub const RULE_LANE_AUDIT: &str = "lane-audit";
 /// Rule id: unregistered or undocumented environment toggle.
@@ -72,7 +79,6 @@ pub const ENV_TOGGLES: &[&str] = &[
     "FTMPI_DEBUG",
     "FTMPI_MINE_BUDGET",
     "FTMPI_NO_MINE",
-    "FTMPI_NO_SCRUB",
 ];
 
 /// Files audited by the `sim-audit` rule. The checkpoint store rides
@@ -202,6 +208,7 @@ pub fn lint_source(relpath: &str, text: &str) -> Vec<LintHit> {
         .iter()
         .any(|c| norm.starts_with(&format!("crates/{c}/src/")));
     let in_core_src = norm.starts_with("crates/core/src/");
+    let downcast_scope = in_core_src && norm != "crates/core/src/engine.rs";
     let in_sim_audit = SIM_AUDIT_FILES.contains(&norm.as_str());
     // The sim-audit unwrap ban covers production code only; `#[cfg(test)]`
     // starts the file's test module and ends the audited region.
@@ -250,6 +257,16 @@ pub fn lint_source(relpath: &str, text: &str) -> Vec<LintHit> {
                 rule: RULE_CORE_UNWRAP,
                 msg: "`.unwrap()` in protocol code: use `expect` with an \
                       invariant message or handle the case"
+                    .to_string(),
+            });
+        }
+        if downcast_scope && s.contains("downcast_mut") && !allowed(&lines, i, RULE_CORE_DOWNCAST) {
+            hits.push(LintHit {
+                file: norm.clone(),
+                line: lineno,
+                rule: RULE_CORE_DOWNCAST,
+                msg: "`downcast_mut` outside `engine.rs`: go through the \
+                      `CheckpointEngine` trait or `engine::with`"
                     .to_string(),
             });
         }
@@ -748,6 +765,18 @@ mod tests {
         assert!(lint_source("crates/core/src/pcl.rs", allowed).is_empty());
         // `unwrap_or` is not `unwrap`.
         assert!(lint_source("crates/core/src/pcl.rs", "y.unwrap_or(0);\n").is_empty());
+    }
+
+    #[test]
+    fn core_downcast_flagged_outside_the_engine_module() {
+        let src = "let p = any.downcast_mut::<Pcl>();\n";
+        let hits = lint_source("crates/core/src/recovery.rs", src);
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert_eq!(hits[0].rule, RULE_CORE_DOWNCAST);
+        assert!(lint_source("crates/core/src/engine.rs", src).is_empty());
+        assert!(lint_source("crates/mpi/src/world.rs", src).is_empty());
+        let allowed = "// lint:allow(core-downcast)\nlet p = any.downcast_mut::<Pcl>();\n";
+        assert!(lint_source("crates/core/src/recovery.rs", allowed).is_empty());
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub struct FtConfig {
     /// explanation for the synchronization cost) versus channel flushing.
     pub pcl_async_markers: bool,
     /// Heartbeat-timeout lag between a task kill and the dispatcher
-    /// noticing it (`fail_and_restart`). The paper assumes immediate
+    /// noticing it (the engine's restart). The paper assumes immediate
     /// detection through the broken TCP connection — `ZERO` reproduces
     /// that exactly; with a positive lag the victim sits dead while the
     /// survivors keep computing work that the restart then discards.
@@ -89,9 +89,7 @@ pub struct FtConfig {
     /// Period of the background scrub pass re-verifying every retained
     /// replica's digest and re-replicating damaged copies from a good one.
     /// `None` (the default) schedules no scrub ticks, keeping failure-free
-    /// runs byte-identical to the pre-integrity code. The `FTMPI_NO_SCRUB`
-    /// environment toggle force-disables a configured scrubber for A/B
-    /// determinism checks.
+    /// runs byte-identical to the pre-integrity code.
     pub scrub_interval: Option<SimDuration>,
     /// Quarantine a checkpoint server after this many digest-verification
     /// failures were attributed to it: the server stops receiving

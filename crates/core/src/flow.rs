@@ -9,9 +9,10 @@
 //! (clone writing + daemon pipelining read→send), and each chunk completes
 //! at the slower of the two.
 //!
-//! All entry points take `&mut World`: the caller already holds the world
-//! lock (the lock is not reentrant); only *later* chunks re-acquire it from
-//! their scheduled events.
+//! All entry points take the runtime of a world the caller already holds
+//! locked (the lock is not reentrant): starting a stream only reserves and
+//! schedules. Later chunks re-acquire the lock from their scheduled events
+//! and hand the whole world to the completion hooks.
 //!
 //! ## Network faults
 //!
@@ -27,7 +28,7 @@
 //! `reachable` is always true and every code path is byte-identical to the
 //! fault-free model.
 
-use ftmpi_mpi::World;
+use ftmpi_mpi::{RuntimeCore, World};
 use ftmpi_net::NodeId;
 use ftmpi_sim::{SimCtx, SimDuration, SimTime};
 
@@ -140,12 +141,12 @@ impl FlowRetry {
 /// transfers) makes the arbitration a deterministic function of the
 /// platform, not of the schedule.
 pub fn start_flow(
-    w: &mut World,
+    rt: &mut RuntimeCore,
     sc: &SimCtx,
     spec: FlowSpec,
     on_done: impl FnOnce(&mut World, &SimCtx, SimTime) + Send + 'static,
 ) {
-    start_flow_inner(w, sc, spec, FlowRetry::PAUSE, None, Box::new(on_done));
+    start_flow_inner(rt, sc, spec, FlowRetry::PAUSE, None, Box::new(on_done));
 }
 
 /// Like [`start_flow`], but with an explicit retry budget: when the
@@ -153,7 +154,7 @@ pub fn start_flow(
 /// flow surrenders and `on_fail(world, sc)` runs instead of `on_done`
 /// (checkpoint pushes use this to fall back to the next replica server).
 pub fn start_flow_guarded(
-    w: &mut World,
+    rt: &mut RuntimeCore,
     sc: &SimCtx,
     spec: FlowSpec,
     retry: FlowRetry,
@@ -161,7 +162,7 @@ pub fn start_flow_guarded(
     on_done: impl FnOnce(&mut World, &SimCtx, SimTime) + Send + 'static,
 ) {
     start_flow_inner(
-        w,
+        rt,
         sc,
         spec,
         retry,
@@ -171,25 +172,25 @@ pub fn start_flow_guarded(
 }
 
 fn start_flow_inner(
-    w: &mut World,
+    rt: &mut RuntimeCore,
     sc: &SimCtx,
     spec: FlowSpec,
     retry: FlowRetry,
     on_fail: Option<FailFn>,
     on_done: DoneFn,
 ) {
-    let epoch = w.rt.epoch;
+    let epoch = rt.epoch;
     // The per-source nanosecond stagger plus the destination lane are what
     // keep same-instant flow starts on one server deterministically
     // arbitrated; the `UnstaggeredFlows` regression fixture removes both to
     // re-open the arbitration race for the schedule explorer.
-    let raced = w.rt.race_fixture == Some(ftmpi_mpi::RaceFixture::UnstaggeredFlows);
+    let raced = rt.race_fixture == Some(ftmpi_mpi::RaceFixture::UnstaggeredFlows);
     let at = if raced {
         sc.now()
     } else {
         sc.now() + SimDuration::from_nanos(spec.src.0 as u64)
     };
-    let handle = w.rt.world_handle();
+    let handle = rt.world_handle();
     let lane = if raced {
         None
     } else {
@@ -354,7 +355,7 @@ fn advance_chunk(
 /// message races same-time traffic to one rank (scheduler markers), `None`
 /// for order-insensitive sinks (ack and report counters).
 pub fn send_control(
-    w: &mut World,
+    rt: &mut RuntimeCore,
     sc: &SimCtx,
     src: NodeId,
     dst: NodeId,
@@ -362,7 +363,7 @@ pub fn send_control(
     lane: Option<u64>,
     on_arrival: impl FnOnce(&mut World, &SimCtx) + Send + 'static,
 ) {
-    send_control_attempt(w, sc, src, dst, bytes, lane, 0, Box::new(on_arrival));
+    send_control_attempt(rt, sc, src, dst, bytes, lane, 0, Box::new(on_arrival));
 }
 
 /// One delivery attempt of a control message. While the destination is
@@ -371,7 +372,7 @@ pub fn send_control(
 /// unbounded backoff ([`FlowRetry::PAUSE`]).
 #[allow(clippy::too_many_arguments)] // private recursion carrying retry state
 fn send_control_attempt(
-    w: &mut World,
+    rt: &mut RuntimeCore,
     sc: &SimCtx,
     src: NodeId,
     dst: NodeId,
@@ -380,10 +381,10 @@ fn send_control_attempt(
     attempt: u32,
     on_arrival: ArrivalFn,
 ) {
-    let epoch = w.rt.epoch;
-    let handle = w.rt.world_handle();
-    if !w.rt.net.reachable(src, dst) {
-        w.rt.stats.link_retries += 1;
+    let epoch = rt.epoch;
+    let handle = rt.world_handle();
+    if !rt.net.reachable(src, dst) {
+        rt.stats.link_retries += 1;
         let probe_at = sc.now() + FlowRetry::PAUSE.delay(attempt);
         // Probes keep the caller's lane: a retried marker still races the
         // same per-rank traffic it raced on first emission.
@@ -395,11 +396,20 @@ fn send_control_attempt(
             if w.rt.epoch != epoch {
                 return;
             }
-            send_control_attempt(&mut w, sc, src, dst, bytes, lane, attempt + 1, on_arrival);
+            send_control_attempt(
+                &mut w.rt,
+                sc,
+                src,
+                dst,
+                bytes,
+                lane,
+                attempt + 1,
+                on_arrival,
+            );
         });
         return;
     }
-    let at = w.rt.net.transfer(src, dst, bytes, sc.now()).delivered;
+    let at = rt.net.transfer(src, dst, bytes, sc.now()).delivered;
     sc.schedule_keyed(at, lane, move |sc| {
         let Some(strong) = handle.upgrade() else {
             return;

@@ -20,6 +20,12 @@
 //!   be inside the MPI library (progress engine), which is where the
 //!   blocking protocol's synchronization cost comes from.
 //!
+//! Both sit on one [`engine`]: the runner and the dispatcher drive every
+//! protocol (Vcl, Pcl, the no-op Dummy baseline, and the uncoordinated
+//! [`Mlog`] alternative) through the [`CheckpointEngine`] trait, and the
+//! server fleet, image streaming, commit and restore planning the two
+//! coordinated engines share live once, in [`Coordinated`].
+//!
 //! Around the protocols: [`server`] models checkpoint servers and the
 //! chunked image/log streams that contend with MPI traffic on the NICs;
 //! [`recovery`] implements the dispatcher's kill-all / restore / replay
@@ -32,6 +38,7 @@
 
 pub mod config;
 pub mod deploy;
+pub mod engine;
 pub mod failure;
 pub mod flow;
 pub mod image;
@@ -45,11 +52,11 @@ pub mod vcl;
 
 pub use config::FtConfig;
 pub use deploy::Deployment;
+pub use engine::{CheckpointEngine, Coordinated};
 pub use failure::{CorruptionEvent, FailurePlan, SilentCorruptionSpec};
 pub use image::RankImage;
 pub use mlog::Mlog;
 pub use pcl::Pcl;
-pub use recovery::RecoveryError;
 pub use runner::{
     run_job, run_job_explored, run_job_with, JobError, JobResult, JobSpec, Platform,
     ProtocolChoice, RunOptions, ScheduleLog,

@@ -19,16 +19,16 @@
 //!   re-executed sends at the receivers. No orphans can exist because no
 //!   delivery precedes its log record.
 
-use std::any::Any;
-
 use ftmpi_mpi::{
-    AppMsg, ArrivalAction, Protocol, Rank, RankStatus, RuntimeCore, SendAction, World, WorldRef,
+    spawn_rank, AppFn, AppMsg, ArrivalAction, Protocol, Rank, RankStatus, RuntimeCore, SendAction,
+    World,
 };
 use ftmpi_net::NodeId;
-use ftmpi_sim::{SimCtx, SimTime};
+use ftmpi_sim::{SimCtx, SimDuration, SimTime};
 
 use crate::config::FtConfig;
 use crate::deploy::Deployment;
+use crate::engine::{with, CheckpointEngine};
 use crate::flow::{start_flow, FlowSpec};
 use crate::image::RankImage;
 use crate::server::{CheckpointStore, StoredImage};
@@ -89,44 +89,6 @@ impl Mlog {
         }
     }
 
-    fn with<R>(w: &mut World, f: impl FnOnce(&mut Mlog, &mut RuntimeCore) -> R) -> R {
-        let World { rt, proto } = w;
-        let mlog = proto
-            .as_any_mut()
-            .downcast_mut::<Mlog>()
-            .expect("world protocol is not Mlog");
-        f(mlog, rt)
-    }
-
-    /// Enable the runtime semantics single-rank restart needs and arm the
-    /// staggered per-rank checkpoint timers.
-    pub fn start(world: &WorldRef, sc: &SimCtx) {
-        let mut w = world.lock();
-        w.rt.suppress_duplicate_seq = true;
-        let n = w.rt.size();
-        let (first, period) = Mlog::with(&mut w, |m, _| (m.cfg.first_wave_delay, m.cfg.period));
-        let handle = w.rt.world_handle();
-        drop(w);
-        for r in 0..n {
-            // Stagger: rank r starts its cycle r/n of a period late, so the
-            // servers never see a synchronized burst (the point of
-            // uncoordinated checkpointing).
-            let at = sc.now() + first + (period * r as u64) / n as u64;
-            Mlog::schedule_rank_ckpt(sc, handle.clone(), r, at, 0);
-        }
-    }
-
-    /// Public re-arm hook used by the single-rank recovery path.
-    pub(crate) fn schedule_rank_ckpt_pub(
-        sc: &SimCtx,
-        handle: std::sync::Weak<parking_lot::Mutex<World>>,
-        r: Rank,
-        at: SimTime,
-        incarnation: u64,
-    ) {
-        Mlog::schedule_rank_ckpt(sc, handle, r, at, incarnation);
-    }
-
     /// Arm rank `r`'s next checkpoint at `at` (incarnation-guarded).
     fn schedule_rank_ckpt(
         sc: &SimCtx,
@@ -152,10 +114,9 @@ impl Mlog {
 
     /// Capture and stream rank `r`'s image; commit on completion.
     fn take_rank_checkpoint(w: &mut World, sc: &SimCtx, r: Rank) {
-        let handle = w.rt.world_handle();
         let incarnation = w.rt.ranks[r].incarnation;
         let mut flow: Option<(FlowSpec, u64, u64)> = None;
-        Mlog::with(w, |m, rt| {
+        with(w, |m: &mut Mlog, rt| {
             let mr = &mut m.ranks[r];
             if mr.ckpt_in_flight {
                 return;
@@ -195,8 +156,7 @@ impl Mlog {
             mr.pending = Some((version, image));
         });
         if let Some((spec, version, log_mark)) = flow {
-            start_flow(w, sc, spec, move |w, sc, done_at| {
-                let _ = handle;
+            start_flow(&mut w.rt, sc, spec, move |w, sc, done_at| {
                 Mlog::image_stored(w, sc, r, version, log_mark, done_at, incarnation);
             });
         }
@@ -215,7 +175,7 @@ impl Mlog {
     ) {
         let handle = w.rt.world_handle();
         let mut next: Option<SimTime> = None;
-        Mlog::with(w, |m, rt| {
+        with(w, |m: &mut Mlog, rt| {
             let image = match m.ranks[r].pending.take() {
                 Some((pv, image)) if pv == version => image,
                 // A completion for a superseded capture: put back whatever
@@ -262,27 +222,143 @@ impl Mlog {
         }
     }
 
-    /// Restore data for a single-rank restart.
-    pub(crate) fn restore_of(&self, r: Rank) -> (Option<RankImage>, Vec<AppMsg>, NodeId) {
-        (
-            self.ranks[r].image.clone(),
-            self.ranks[r].log.clone(),
-            self.server_node_of[r],
-        )
-    }
+    /// Single-rank failure handling: only the victim rolls back; everyone
+    /// else keeps computing.
+    ///
+    /// The victim restores its own last image, replays its receiver-based
+    /// log, and re-executes from there; its re-sent messages are suppressed
+    /// as duplicates at the receivers, and messages addressed to it while it
+    /// was down wait in the runtime (sender-side transport retransmission).
+    fn restart_rank(
+        &mut self,
+        rt: &mut RuntimeCore,
+        sc: &SimCtx,
+        app: &AppFn,
+        victim: Rank,
+        ft: &FtConfig,
+    ) {
+        if rt.job_complete() || rt.ranks[victim].status != RankStatus::Running {
+            return;
+        }
+        let handle = rt.world_handle();
+        let now = sc.now();
 
-    /// Take the messages whose log writes were in flight when the rank
-    /// failed; the restart re-injects them in arrival order (their pending
-    /// completions die on the incarnation guard).
-    pub(crate) fn take_in_flight(&mut self, r: Rank) -> Vec<AppMsg> {
-        std::mem::take(&mut self.ranks[r].in_flight)
-    }
+        // Kill only the victim's task.
+        if let Some(pid) = rt.ranks[victim].pid.take() {
+            sc.kill(pid);
+        }
+        rt.stats.restarts += 1;
 
-    /// Reset rank `r`'s protocol state after its restart is orchestrated.
-    pub(crate) fn on_rank_restarted(&mut self, r: Rank) {
-        let mr = &mut self.ranks[r];
+        // Take the victim's restore data; its capture in flight is void.
+        let mr = &mut self.ranks[victim];
+        let (image, log) = (mr.image.clone(), mr.log.clone());
+        // Messages whose log writes were in flight: their pending
+        // completions die on the incarnation guard.
+        let in_flight = std::mem::take(&mut mr.in_flight);
         mr.ckpt_in_flight = false;
         self.stats.restarts += 1;
+
+        // Roll the victim back (bumps its incarnation: stale per-rank events
+        // and timers die) and rebuild its pre-crash runtime memory.
+        let (skip, credit) = image
+            .as_ref()
+            .map(|i| (i.ops_completed, i.time_credit))
+            .unwrap_or((0, SimDuration::ZERO));
+        rt.ranks[victim].reset_for_restart(skip, credit);
+        let incarnation = rt.ranks[victim].incarnation;
+        match &image {
+            Some(img) => {
+                rt.set_expect_seq(victim, img.expect_seq.clone());
+                rt.set_send_seq(victim, img.send_seq.clone());
+            }
+            // No image: the rank restarts from scratch with empty (all-zero)
+            // sparse watermarks.
+            None => rt.set_expect_seq(victim, Vec::new()),
+        }
+        if let Some(img) = &image {
+            for m in img.pending.clone() {
+                rt.inject_restored(sc, m);
+            }
+        }
+        // Replay the receiver-based log, in delivery order.
+        for m in log {
+            rt.inject_restored(sc, m);
+        }
+        // Messages whose log writes were cut short by the failure re-enter
+        // arrival handling in their original order (they re-log under the
+        // new incarnation and are held until the write lands); doing this
+        // before any later traffic preserves the per-channel FIFO the
+        // duplicate watermark depends on.
+        for m in in_flight {
+            let action = self.on_arrival(rt, sc, &m);
+            debug_assert_eq!(action, ArrivalAction::Hold);
+        }
+
+        // Image fetch from the victim's server, then respawn and re-arm its
+        // independent checkpoint cycle.
+        let node = rt.placement.node_of(victim);
+        let base = now + ft.restart_delay;
+        let ready = if image.is_some() {
+            let server = self.server_node_of[victim];
+            rt.net
+                .transfer(server, node, ft.image_bytes, base)
+                .delivered
+        } else {
+            base
+        };
+        let period = ft.period;
+        let app = app.clone();
+        sc.schedule(ready, move |sc| {
+            let Some(world) = handle.upgrade() else {
+                return;
+            };
+            if world.lock().rt.ranks[victim].incarnation != incarnation {
+                return;
+            }
+            spawn_rank(sc, &world, victim, app);
+            let handle = world.lock().rt.world_handle();
+            Mlog::schedule_rank_ckpt(sc, handle, victim, sc.now() + period, incarnation);
+        });
+    }
+}
+
+impl CheckpointEngine for Mlog {
+    /// Enable the runtime semantics single-rank restart needs and arm the
+    /// staggered per-rank checkpoint timers.
+    fn start(&mut self, rt: &mut RuntimeCore, sc: &SimCtx) {
+        rt.suppress_duplicate_seq = true;
+        let n = rt.size();
+        let (first, period) = (self.cfg.first_wave_delay, self.cfg.period);
+        for r in 0..n {
+            // Stagger: rank r starts its cycle r/n of a period late, so the
+            // servers never see a synchronized burst (the point of
+            // uncoordinated checkpointing).
+            let at = sc.now() + first + (period * r as u64) / n as u64;
+            Mlog::schedule_rank_ckpt(sc, rt.world_handle(), r, at, 0);
+        }
+    }
+
+    /// Single-rank recovery reacts to a death at once; the dispatcher's
+    /// heartbeat model does not apply.
+    fn heartbeat_detected(&self) -> bool {
+        false
+    }
+
+    fn restart(
+        &mut self,
+        rt: &mut RuntimeCore,
+        sc: &SimCtx,
+        app: &AppFn,
+        victims: &[Rank],
+        ft: &FtConfig,
+    ) {
+        for &victim in victims {
+            self.restart_rank(rt, sc, app, victim, ft);
+        }
+    }
+
+    fn final_stats(&mut self) -> FtStats {
+        self.stats.clone()
     }
 }
 
@@ -331,7 +407,7 @@ impl Protocol for Mlog {
                 // simply dies.
                 return;
             }
-            Mlog::with(&mut w, |m, _| {
+            with(&mut w, |m: &mut Mlog, _| {
                 let mr = &mut m.ranks[msg.dst];
                 mr.in_flight
                     .retain(|f| !(f.src == msg.src && f.seq == msg.seq));
@@ -340,9 +416,5 @@ impl Protocol for Mlog {
             w.rt.deliver_to_matching(sc, msg);
         });
         ArrivalAction::Hold
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }

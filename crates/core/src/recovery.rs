@@ -8,11 +8,11 @@
 //!
 //! Beyond the paper's model this module also covers:
 //!
-//! * **detection latency** ([`inject_kill`]): the paper assumes immediate
+//! * **detection latency** ([`inject_kill_many`]): the paper assumes immediate
 //!   detection through the broken TCP connection; with
 //!   `FtConfig::detection_delay > 0` the victim sits dead (its library and
 //!   daemon unresponsive — in-flight waves stall on it) until a heartbeat
-//!   timeout fires `fail_and_restart`, so lost work grows with the lag;
+//!   timeout fires the engine's restart, so lost work grows with the lag;
 //! * **checkpoint-server failures** ([`server_fail`]): images on the dead
 //!   server vanish; the next restart falls back to the newest *retained*
 //!   committed wave whose needed images survive, or to scratch;
@@ -34,52 +34,18 @@
 
 use std::sync::{Arc, Mutex as StdMutex, Weak};
 
-use ftmpi_mpi::{spawn_rank, AppFn, AppMsg, RankStatus, World, WorldRef};
+use ftmpi_mpi::{spawn_rank, AppFn, AppMsg, RankStatus, RuntimeCore, World, WorldRef};
 use ftmpi_net::NodeId;
-use ftmpi_sim::{SimCtx, SimTime};
-
-use ftmpi_sim::SimDuration;
+use ftmpi_sim::{SimCtx, SimDuration, SimTime};
 
 use crate::config::FtConfig;
+use crate::engine::{coordinated, split, CheckpointEngine, Coordinated};
 use crate::flow::{flow_lane, start_flow_guarded, FlowRetry, FlowSpec};
 use crate::image::WaveRecord;
-use crate::pcl::Pcl;
-use crate::runner::ProtocolChoice;
 use crate::server::{CheckpointStore, StoreError, StoredImage};
 use crate::stats::FtStats;
-use crate::vcl::Vcl;
 
-/// A failure-path operation was routed to the wrong protocol engine.
-///
-/// Replaces the old `expect("protocol is not ...")` downcast panics so a
-/// fault-injection campaign reports which scenario broke instead of
-/// aborting the whole process.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RecoveryError {
-    /// The world's installed protocol does not match the failure router's
-    /// `ProtocolChoice`.
-    ProtocolMismatch {
-        /// Engine the failure path expected.
-        expected: &'static str,
-        /// Engine actually installed in the world.
-        found: &'static str,
-    },
-}
-
-impl std::fmt::Display for RecoveryError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RecoveryError::ProtocolMismatch { expected, found } => write!(
-                f,
-                "failure path routed to the wrong protocol: expected {expected}, found {found}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for RecoveryError {}
-
-/// Restore data pulled out of a protocol engine at failure time.
+/// Restore data pulled out of a coordinated engine at failure time.
 pub(crate) struct RestoreData {
     pub wave: Option<WaveRecord>,
     /// Per-rank server node an image fetch would come from (the lowest
@@ -269,128 +235,121 @@ fn plan_restore(
     }
 }
 
-impl Vcl {
-    pub(crate) fn prepare_restart(
-        w: &mut World,
-        now: SimTime,
-        need_server: &[bool],
-    ) -> Result<RestoreData, RecoveryError> {
-        let World { proto, .. } = w;
-        let found = proto.name();
-        let Some(vcl) = proto.as_any_mut().downcast_mut::<Vcl>() else {
-            return Err(RecoveryError::ProtocolMismatch {
-                expected: "vcl",
-                found,
-            });
-        };
-        vcl.stats.restarts += 1;
-        let server_node_of = vcl.server_nodes_of_ranks();
-        let threshold = vcl.ft_cfg().quarantine_threshold;
-        Ok(plan_restore(
-            &vcl.committed,
-            &mut vcl.store,
-            &server_node_of,
-            &mut vcl.stats,
+impl Coordinated {
+    /// Count the restart and plan its restore (see [`plan_restore`]).
+    pub(crate) fn prepare_restart(&mut self, now: SimTime, need_server: &[bool]) -> RestoreData {
+        self.stats.restarts += 1;
+        plan_restore(
+            &self.committed,
+            &mut self.store,
+            &self.server_node_of,
+            &mut self.stats,
             now,
             need_server,
-            threshold,
-        ))
+            self.cfg.quarantine_threshold,
+        )
+    }
+
+    /// Verify every retained (wave, rank, replica) slot in deterministic
+    /// store order, doing the detection/quarantine accounting in place and
+    /// returning what to trace and which repairs to launch. A damaged copy
+    /// is repaired only when its holder can still take writes (not dead,
+    /// not quarantined — including a quarantine this very pass triggered)
+    /// and some replica of the slot still verifies; otherwise the next
+    /// restore's replica walk or retained-wave fallback deals with it.
+    fn scrub_scan(&mut self) -> ScrubFindings {
+        let mut detections = Vec::new();
+        let mut quarantines = Vec::new();
+        let mut repairs = Vec::new();
+        for rec in &self.committed {
+            for r in 0..rec.images.len() {
+                let expected = rec.images[r].digest(rec.wave, r);
+                let before = detections.len();
+                detect_slot_damage(
+                    &mut self.store,
+                    rec.wave,
+                    r,
+                    expected,
+                    self.cfg.quarantine_threshold,
+                    &mut self.stats,
+                    &mut detections,
+                    &mut quarantines,
+                );
+                for &(wave, rank, node) in &detections[before..] {
+                    if self.store.server_unplaceable(node) {
+                        continue;
+                    }
+                    let Some(good) = self.store.locate_intact(wave, rank, expected) else {
+                        continue;
+                    };
+                    repairs.push(ScrubRepair {
+                        wave,
+                        rank,
+                        node,
+                        expected,
+                        src: good.server,
+                        bytes: good.bytes,
+                    });
+                }
+            }
+        }
+        (detections, quarantines, repairs)
     }
 }
 
-impl Pcl {
-    pub(crate) fn prepare_restart(
-        w: &mut World,
-        now: SimTime,
-        need_server: &[bool],
-    ) -> Result<RestoreData, RecoveryError> {
-        let World { proto, .. } = w;
-        let found = proto.name();
-        let Some(pcl) = proto.as_any_mut().downcast_mut::<Pcl>() else {
-            return Err(RecoveryError::ProtocolMismatch {
-                expected: "pcl",
-                found,
-            });
-        };
-        pcl.stats.restarts += 1;
-        let server_node_of = pcl.server_nodes_of_ranks();
-        let threshold = pcl.ft_cfg().quarantine_threshold;
-        Ok(plan_restore(
-            &pcl.committed,
-            &mut pcl.store,
-            &server_node_of,
-            &mut pcl.stats,
-            now,
-            need_server,
-            threshold,
-        ))
-    }
-}
-
-/// Inject a task kill, honoring the detection-latency model.
+/// Kill the tasks of `victims` at this instant (one rank, or every rank a
+/// dying node hosted), honoring the detection-latency model.
 ///
-/// With `detection_delay == 0` this *is* [`fail_and_restart`] — the paper's
-/// immediate detection, bit-for-bit. With a positive lag, the victim's task
-/// dies now (its process killed, its rank marked [`RankStatus::Dead`]) but
-/// the dispatcher only notices — and restarts the job — one heartbeat
-/// timeout later. A kill of an already-dead rank during that window is
-/// absorbed (one task cannot die twice); a restart happening in between
-/// revives the victim and cancels the stale detection via the epoch guard.
-pub fn inject_kill(
-    sc: &SimCtx,
-    world: &WorldRef,
-    app: &AppFn,
-    kind: ProtocolChoice,
-    victim: usize,
-    ft: &FtConfig,
-) -> Result<(), RecoveryError> {
-    inject_kill_many(sc, world, app, kind, &[victim], ft)
-}
-
-/// Inject a *correlated* kill: every rank in `victims` dies at the same
-/// instant (a node death takes all its colocated tasks with it). One
-/// detection event covers the whole group — the dispatcher sees the node's
-/// heartbeats vanish together and restarts the job exactly once, instead of
-/// stacking a nested restart per rank. Already-dead victims are absorbed
-/// individually; the kill is a no-op only if *every* victim was already
-/// dead. An empty group is also a no-op — the death of a node hosting no
-/// ranks (a dedicated server machine) is its colocated server failure
-/// alone, not a job restart.
+/// With `detection_delay == 0` this *is* the engine's
+/// [`CheckpointEngine::restart`] — the paper's immediate detection,
+/// bit-for-bit; so it is for engines outside the heartbeat model
+/// ([`CheckpointEngine::heartbeat_detected`]). With a positive lag the
+/// victims' tasks die now (processes killed, ranks marked
+/// [`RankStatus::Dead`]) but the dispatcher only notices — and restarts
+/// the job — one heartbeat timeout later. One detection event covers the
+/// whole group: the dispatcher sees the node's heartbeats vanish together
+/// and restarts the job exactly once, instead of stacking a nested restart
+/// per rank. A kill of an already-dead rank during that window is absorbed
+/// (one task cannot die twice), so the kill is a no-op only if *every*
+/// victim was already dead; a restart happening in between revives the
+/// victims and cancels the stale detection via the epoch guard. An empty
+/// group is also a no-op — the death of a node hosting no ranks (a
+/// dedicated server machine) is its colocated server failure alone, not a
+/// job restart.
 pub fn inject_kill_many(
     sc: &SimCtx,
     world: &WorldRef,
     app: &AppFn,
-    kind: ProtocolChoice,
     victims: &[usize],
     ft: &FtConfig,
-) -> Result<(), RecoveryError> {
+) {
     if victims.is_empty() {
-        return Ok(());
+        return;
     }
-    if ft.detection_delay.is_zero() {
-        return fail_and_restart_many(sc, world, app, kind, victims, ft);
+    let mut w = world.lock();
+    let (engine, rt) = split(&mut w);
+    if ft.detection_delay.is_zero() || !engine.heartbeat_detected() {
+        engine.restart(rt, sc, app, victims, ft);
+        return;
     }
-    let (handle, epoch) = {
-        let mut w = world.lock();
-        if w.rt.job_complete() {
-            return Ok(());
+    if rt.job_complete() {
+        return;
+    }
+    let mut killed_any = false;
+    for &victim in victims {
+        if rt.ranks[victim].status == RankStatus::Dead {
+            continue; // absorbed: the task is already dead
         }
-        let mut killed_any = false;
-        for &victim in victims {
-            if w.rt.ranks[victim].status == RankStatus::Dead {
-                continue; // absorbed: the task is already dead
-            }
-            if let Some(pid) = w.rt.ranks[victim].pid.take() {
-                sc.kill(pid);
-            }
-            w.rt.ranks[victim].status = RankStatus::Dead;
-            killed_any = true;
+        if let Some(pid) = rt.ranks[victim].pid.take() {
+            sc.kill(pid);
         }
-        if !killed_any {
-            return Ok(());
-        }
-        (w.rt.world_handle(), w.rt.epoch)
-    };
+        rt.ranks[victim].status = RankStatus::Dead;
+        killed_any = true;
+    }
+    if !killed_any {
+        return;
+    }
+    let (handle, epoch) = (rt.world_handle(), rt.epoch);
     let app = app.clone();
     let ft = ft.clone();
     let victims = victims.to_vec();
@@ -398,77 +357,34 @@ pub fn inject_kill_many(
         let Some(world) = handle.upgrade() else {
             return;
         };
-        {
-            let w = world.lock();
-            if w.rt.epoch != epoch {
-                return; // a restart already revived the victims
-            }
+        let mut w = world.lock();
+        if w.rt.epoch != epoch {
+            return; // a restart already revived the victims
         }
-        if let Err(e) = fail_and_restart_many(sc, &world, &app, kind, &victims, &ft) {
-            world.lock().rt.record_fatal(&e.to_string());
-        }
+        let (engine, rt) = split(&mut w);
+        engine.restart(rt, sc, &app, &victims, &ft);
     });
-    Ok(())
 }
 
 /// Kill a checkpoint-server node (by index into the deployment's server
 /// fleet): every image replica it stored becomes unavailable, partial
 /// waves streaming to it abort, and later restarts fall back to older
-/// retained waves or scratch. Only the coordinated protocols model
-/// checkpoint servers this way; for `Dummy`/`Mlog` the call is a no-op, as
-/// is an out-of-range index or a kill after job completion.
-pub fn server_fail(
-    sc: &SimCtx,
-    world: &WorldRef,
-    kind: ProtocolChoice,
-    server_index: usize,
-) -> Result<(), RecoveryError> {
+/// retained waves or scratch. Only the coordinated engines model checkpoint
+/// servers this way; for the others the call is a no-op, as is an
+/// out-of-range index or a kill after job completion.
+pub fn server_fail(sc: &SimCtx, world: &WorldRef, server_index: usize) {
     let mut w = world.lock();
     if w.rt.job_complete() {
-        return Ok(());
+        return;
     }
-    let Some(node) = fleet_node_of(&mut w, kind, server_index)? else {
-        return Ok(());
+    let Some(node) = coordinated(&mut w).and_then(|co| co.server_node(server_index)) else {
+        return;
     };
     sc.trace_proto(ftmpi_sim::ProtoEvent::ServerFail {
         node: node.0 as u64,
     });
-    match kind {
-        ProtocolChoice::Dummy | ProtocolChoice::Mlog => {}
-        ProtocolChoice::Vcl => Vcl::on_server_failed(&mut w, sc, node),
-        ProtocolChoice::Pcl => Pcl::on_server_failed(&mut w, sc, node),
-    }
-    Ok(())
-}
-
-/// Resolve a checkpoint-server fleet index to its node for the coordinated
-/// engines; `Ok(None)` for `Dummy`/`Mlog` or an out-of-range index.
-fn fleet_node_of(
-    w: &mut World,
-    kind: ProtocolChoice,
-    server_index: usize,
-) -> Result<Option<NodeId>, RecoveryError> {
-    let World { proto, .. } = w;
-    let found = proto.name();
-    Ok(match kind {
-        ProtocolChoice::Dummy | ProtocolChoice::Mlog => None,
-        ProtocolChoice::Vcl => proto
-            .as_any_mut()
-            .downcast_mut::<Vcl>()
-            .ok_or(RecoveryError::ProtocolMismatch {
-                expected: "vcl",
-                found,
-            })?
-            .server_fleet_node(server_index),
-        ProtocolChoice::Pcl => proto
-            .as_any_mut()
-            .downcast_mut::<Pcl>()
-            .ok_or(RecoveryError::ProtocolMismatch {
-                expected: "pcl",
-                found,
-            })?
-            .server_fleet_node(server_index),
-    })
+    let (engine, rt) = split(&mut w);
+    engine.server_failed(rt, sc, node);
 }
 
 /// Silently damage stored image replicas on a checkpoint-server node (by
@@ -477,28 +393,26 @@ fn fleet_node_of(
 /// replica the node holds (whole-disk bit rot). Nothing in the runtime
 /// notices *now* — detection happens when a fetch or scrub pass verifies a
 /// digest, which is the whole point of the injection. No-ops mirror
-/// [`server_fail`]: `Dummy`/`Mlog`, an out-of-range index, a completed
-/// job, or a server holding nothing to damage.
-pub fn corrupt_images(
-    sc: &SimCtx,
-    world: &WorldRef,
-    kind: ProtocolChoice,
-    server_index: usize,
-    rank: Option<usize>,
-) -> Result<(), RecoveryError> {
+/// [`server_fail`]: an engine without servers, an out-of-range index, a
+/// completed job, or a server holding nothing to damage.
+pub fn corrupt_images(sc: &SimCtx, world: &WorldRef, server_index: usize, rank: Option<usize>) {
     let mut w = world.lock();
     if w.rt.job_complete() {
-        return Ok(());
+        return;
     }
-    let Some(node) = fleet_node_of(&mut w, kind, server_index)? else {
-        return Ok(());
+    let Some(co) = coordinated(&mut w) else {
+        return;
+    };
+    let Some(node) = co.server_node(server_index) else {
+        return;
     };
     let damaged: Vec<(u64, usize)> = match rank {
-        Some(r) => with_store(&mut w, kind, |s| s.corrupt_newest(r, node))
-            .flatten()
+        Some(r) => co
+            .store
+            .corrupt_newest(r, node)
             .map(|wave| vec![(wave, r)])
             .unwrap_or_default(),
-        None => with_store(&mut w, kind, |s| s.corrupt_server(node)).unwrap_or_default(),
+        None => co.store.corrupt_server(node),
     };
     for (wave, r) in damaged {
         sc.trace_proto(ftmpi_sim::ProtoEvent::Corrupt {
@@ -507,28 +421,13 @@ pub fn corrupt_images(
             node: node.0 as u64,
         });
     }
-    Ok(())
 }
 
-/// Fail the job (as if `victim`'s task was killed) and orchestrate the
-/// restart from a committed wave (or from scratch if none survives).
-///
-/// No-op if the job already completed.
-pub fn fail_and_restart(
-    sc: &SimCtx,
-    world: &WorldRef,
-    app: &AppFn,
-    kind: ProtocolChoice,
-    victim: usize,
-    ft: &FtConfig,
-) -> Result<(), RecoveryError> {
-    fail_and_restart_many(sc, world, app, kind, &[victim], ft)
-}
-
-/// [`fail_and_restart`] for a correlated group of victims: one restart
-/// covers every rank in `victims` (coordinated checkpointing rolls all
-/// ranks back anyway — the group only changes *which* ranks must re-fetch
-/// their image from a server).
+/// The dispatcher's coordinated restart (the default
+/// [`CheckpointEngine::restart`]): kill every process and restore every
+/// rank from a committed wave (or from scratch if none survives). The
+/// group of `victims` only changes *which* ranks must re-fetch their image
+/// from a server — coordinated checkpointing rolls all ranks back anyway.
 ///
 /// An image fetch whose source server is unreachable (link down or
 /// partitioned) does not deadlock the restart: the rank's fetch turns into
@@ -538,42 +437,37 @@ pub fn fail_and_restart(
 /// fatally stuck only once every replica is exhausted. With no active
 /// faults the probe path is never entered and the restart is byte-for-byte
 /// the fault-free one.
-pub fn fail_and_restart_many(
+///
+/// No-op if the job already completed.
+pub(crate) fn kill_all<E: CheckpointEngine + ?Sized>(
+    engine: &mut E,
+    rt: &mut RuntimeCore,
     sc: &SimCtx,
-    world: &WorldRef,
     app: &AppFn,
-    kind: ProtocolChoice,
     victims: &[usize],
     ft: &FtConfig,
-) -> Result<(), RecoveryError> {
-    if kind == ProtocolChoice::Mlog {
-        return Err(RecoveryError::ProtocolMismatch {
-            expected: "vcl, pcl or dummy",
-            found: "mlog",
-        });
+) {
+    if rt.job_complete() {
+        return;
     }
-    let mut w = world.lock();
-    if w.rt.job_complete() {
-        return Ok(());
-    }
-    let n = w.rt.size();
-    let handle = w.rt.world_handle();
+    let n = rt.size();
+    let handle = rt.world_handle();
 
     // 1. The dispatcher kills every process.
     for r in 0..n {
-        let rs = &mut w.rt.ranks[r];
+        let rs = &mut rt.ranks[r];
         if let Some(pid) = rs.pid.take() {
             sc.kill(pid);
         }
         rs.status = RankStatus::Dead;
     }
-    w.rt.epoch += 1;
-    let epoch = w.rt.epoch;
+    rt.epoch += 1;
+    let epoch = rt.epoch;
     sc.trace_proto(ftmpi_sim::ProtoEvent::Restart { epoch });
-    w.rt.stats.finished_ranks = 0;
-    w.rt.stats.restarts += 1;
+    rt.stats.finished_ranks = 0;
+    rt.stats.restarts += 1;
     let now = sc.now();
-    w.rt.net.reset_queues(now);
+    rt.net.reset_queues(now);
 
     // Which ranks must fetch their image from a server (constrains the
     // restore wave: a server failure may have lost the newest images).
@@ -581,22 +475,13 @@ pub fn fail_and_restart_many(
         .map(|r| (victims.contains(&r) && ft.fetch_failed_from_server) || !ft.write_local_disk)
         .collect();
 
-    // 2. Pull restore data from the protocol and abort any in-flight wave
+    // 2. Pull restore data from the engine and abort any in-flight wave
     //    (its partial images are garbage-collected; its flows and timers
     //    die on the epoch guards).
-    let restore = match kind {
-        ProtocolChoice::Dummy | ProtocolChoice::Mlog => None, // Mlog rejected above
-        ProtocolChoice::Vcl => {
-            let data = Vcl::prepare_restart(&mut w, now, &need_server)?;
-            Vcl::abort_wave(&mut w, sc);
-            Some(data)
-        }
-        ProtocolChoice::Pcl => {
-            let data = Pcl::prepare_restart(&mut w, now, &need_server)?;
-            Pcl::abort_wave(&mut w, sc);
-            Some(data)
-        }
-    };
+    let restore = engine
+        .coordinated()
+        .map(|co| co.prepare_restart(now, &need_server));
+    engine.abort_wave(sc);
     let wave = restore.as_ref().and_then(|d| d.wave.clone());
     if let Some(data) = &restore {
         for &(cw, cr, cnode) in &data.detections {
@@ -624,10 +509,10 @@ pub fn fail_and_restart_many(
     for (r, &from_server) in need_server.iter().enumerate() {
         let (skip, credit) = match &wave {
             Some(rec) => (rec.images[r].ops_completed, rec.images[r].time_credit),
-            None => (0, ftmpi_sim::SimDuration::ZERO),
+            None => (0, SimDuration::ZERO),
         };
-        w.rt.ranks[r].reset_for_restart(skip, credit);
-        let node = w.rt.placement.node_of(r);
+        rt.ranks[r].reset_for_restart(skip, credit);
+        let node = rt.placement.node_of(r);
         let ready: Option<SimTime> = match (&wave, &restore) {
             (Some(rec), Some(data)) => {
                 if from_server {
@@ -636,8 +521,8 @@ pub fn fail_and_restart_many(
                     // in either direction blocks it — fetching across one
                     // would commit a restore whose acknowledgement path is
                     // dead.
-                    if w.rt.net.reachable(data.image_source[r], node)
-                        && w.rt.net.reachable(node, data.image_source[r])
+                    if rt.net.reachable(data.image_source[r], node)
+                        && rt.net.reachable(node, data.image_source[r])
                     {
                         // The planner picked this source under the same
                         // lock, digest-verified — record the consumption.
@@ -647,7 +532,7 @@ pub fn fail_and_restart_many(
                             node: data.image_source[r].0 as u64,
                         });
                         Some(
-                            w.rt.net
+                            rt.net
                                 .transfer(data.image_source[r], node, ft.image_bytes, base)
                                 .delivered,
                         )
@@ -655,7 +540,7 @@ pub fn fail_and_restart_many(
                         None // fetch blocked by an active network fault
                     }
                 } else {
-                    Some(w.rt.net.disk_read(node, ft.image_bytes, base))
+                    Some(rt.net.disk_read(node, ft.image_bytes, base))
                 }
             }
             _ => Some(base),
@@ -670,10 +555,10 @@ pub fn fail_and_restart_many(
         // order of the consistent cut.
         if let Some(rec) = &wave {
             for m in rec.images[r].pending.clone() {
-                w.rt.inject_restored(sc, m);
+                rt.inject_restored(sc, m);
             }
             for m in rec.logs[r].clone() {
-                w.rt.inject_restored(sc, m);
+                rt.inject_restored(sc, m);
             }
         }
         // Blocking protocol: "every message delayed in emission will be
@@ -712,17 +597,8 @@ pub fn fail_and_restart_many(
     //    blocked behind a fault the re-arm waits for the last probe chain
     //    to land (the join tracks the real latest-ready instant).
     if blocked.is_empty() {
-        let next_wave = latest_ready + ft.period;
-        match kind {
-            ProtocolChoice::Dummy | ProtocolChoice::Mlog => {}
-            ProtocolChoice::Vcl => {
-                let gen = Vcl::bump_timer_gen(&mut w);
-                Vcl::schedule_wave_at(sc, handle, next_wave, epoch, gen);
-            }
-            ProtocolChoice::Pcl => {
-                let gen = Pcl::bump_timer_gen(&mut w);
-                Pcl::schedule_wave_at(sc, handle, next_wave, epoch, gen);
-            }
+        if let Some(co) = engine.coordinated() {
+            co.arm_timer(rt, sc, latest_ready + ft.period);
         }
     } else {
         let join = Arc::new(StdMutex::new(FetchJoin {
@@ -735,7 +611,6 @@ pub fn fail_and_restart_many(
                 FetchProbe {
                     handle: handle.clone(),
                     epoch,
-                    kind,
                     fetch: bf,
                     src_idx: 0,
                     attempt: 0,
@@ -748,7 +623,6 @@ pub fn fail_and_restart_many(
             );
         }
     }
-    Ok(())
 }
 
 /// One rank whose restart-time image fetch could not be reserved because
@@ -776,7 +650,6 @@ struct FetchJoin {
 struct FetchProbe {
     handle: Weak<parking_lot::Mutex<World>>,
     epoch: u64,
-    kind: ProtocolChoice,
     fetch: BlockedFetch,
     /// Replica currently being probed.
     src_idx: usize,
@@ -847,7 +720,6 @@ fn schedule_fetch_probe(sc: &SimCtx, p: FetchProbe, at: SimTime) {
         let FetchProbe {
             handle,
             epoch,
-            kind,
             fetch,
             mut src_idx,
             mut attempt,
@@ -872,7 +744,9 @@ fn schedule_fetch_probe(sc: &SimCtx, p: FetchProbe, at: SimTime) {
             attempt += 1;
             if source.is_none() || attempt >= ft.link_retry_limit.max(1) {
                 if source.is_some() {
-                    with_ft_stats(&mut w, kind, |s| s.retries_exhausted += 1);
+                    if let Some(co) = coordinated(&mut w) {
+                        co.stats.retries_exhausted += 1;
+                    }
                 }
                 src_idx += 1;
                 attempt = 0;
@@ -891,7 +765,6 @@ fn schedule_fetch_probe(sc: &SimCtx, p: FetchProbe, at: SimTime) {
                 FetchProbe {
                     handle,
                     epoch,
-                    kind,
                     fetch,
                     src_idx,
                     attempt,
@@ -908,30 +781,35 @@ fn schedule_fetch_probe(sc: &SimCtx, p: FetchProbe, at: SimTime) {
             return; // unreachable by construction: reachable implies a source
         };
         // Verify-on-fetch: the replica must hash to the digest the wave
-        // record implies before the restore commits to it.
-        let verdict = with_store(&mut w, kind, |store| {
-            store
+        // record implies before the restore commits to it. Damage is a
+        // typed detection that feeds the quarantine threshold.
+        let verdict = coordinated(&mut w).map(|co| {
+            let verdict = co
+                .store
                 .verify_replica(fetch.wave, fetch.rank, source, fetch.expected)
-                .map(|_| ())
+                .map(|_| ());
+            let mut quarantined = false;
+            if let Err(StoreError::CorruptImage { .. }) = verdict {
+                co.stats.images_corrupt_detected += 1;
+                let seen = co.store.note_corruption(source);
+                quarantined = ft.quarantine_threshold > 0
+                    && seen >= ft.quarantine_threshold
+                    && co.store.quarantine_server(source);
+                if quarantined {
+                    co.stats.servers_quarantined += 1;
+                }
+            }
+            (verdict, quarantined)
         });
-        if let Some(Err(err)) = verdict {
+        if let Some((Err(err), quarantined)) = verdict {
             if matches!(err, StoreError::CorruptImage { .. }) {
                 saw_corrupt = true;
-                with_ft_stats(&mut w, kind, |s| s.images_corrupt_detected += 1);
                 sc.trace_proto(ftmpi_sim::ProtoEvent::CorruptDetected {
                     wave: fetch.wave,
                     rank: fetch.rank,
                     node: source.0 as u64,
                 });
-                let quarantined = with_store(&mut w, kind, |store| {
-                    let seen = store.note_corruption(source);
-                    ft.quarantine_threshold > 0
-                        && seen >= ft.quarantine_threshold
-                        && store.quarantine_server(source)
-                })
-                .unwrap_or(false);
                 if quarantined {
-                    with_ft_stats(&mut w, kind, |s| s.servers_quarantined += 1);
                     sc.trace_proto(ftmpi_sim::ProtoEvent::Quarantine {
                         node: source.0 as u64,
                     });
@@ -956,7 +834,6 @@ fn schedule_fetch_probe(sc: &SimCtx, p: FetchProbe, at: SimTime) {
                 FetchProbe {
                     handle,
                     epoch,
-                    kind,
                     fetch,
                     src_idx,
                     attempt,
@@ -969,15 +846,15 @@ fn schedule_fetch_probe(sc: &SimCtx, p: FetchProbe, at: SimTime) {
             );
             return;
         }
-        if src_idx > 0 {
-            with_ft_stats(&mut w, kind, |s| {
-                s.images_rerouted += 1;
-                s.replica_depth_max = s.replica_depth_max.max(src_idx as u64);
-            });
-        }
-        if saw_corrupt {
-            // The walk recovered past damaged bits to a verified copy.
-            with_ft_stats(&mut w, kind, |s| s.images_repaired += 1);
+        if let Some(co) = coordinated(&mut w) {
+            if src_idx > 0 {
+                co.stats.images_rerouted += 1;
+                co.stats.replica_depth_max = co.stats.replica_depth_max.max(src_idx as u64);
+            }
+            if saw_corrupt {
+                // The walk recovered past damaged bits to a verified copy.
+                co.stats.images_repaired += 1;
+            }
         }
         if verdict.is_some() {
             sc.trace_proto(ftmpi_sim::ProtoEvent::RestoreImage {
@@ -1011,60 +888,12 @@ fn schedule_fetch_probe(sc: &SimCtx, p: FetchProbe, at: SimTime) {
             (j.remaining == 0).then_some(j.latest_ready)
         };
         if let Some(latest) = rearm_at {
-            let next_wave = latest + ft.period;
-            match kind {
-                ProtocolChoice::Dummy | ProtocolChoice::Mlog => {}
-                ProtocolChoice::Vcl => {
-                    let gen = Vcl::bump_timer_gen(&mut w);
-                    Vcl::schedule_wave_at(sc, handle, next_wave, epoch, gen);
-                }
-                ProtocolChoice::Pcl => {
-                    let gen = Pcl::bump_timer_gen(&mut w);
-                    Pcl::schedule_wave_at(sc, handle, next_wave, epoch, gen);
-                }
+            let (engine, rt) = split(&mut w);
+            if let Some(co) = engine.coordinated() {
+                co.arm_timer(rt, sc, latest + ft.period);
             }
         }
     });
-}
-
-/// Run `f` against the coordinated engine's checkpoint store; `None` for
-/// `Dummy`/`Mlog` or on a downcast mismatch.
-fn with_store<T>(
-    w: &mut World,
-    kind: ProtocolChoice,
-    f: impl FnOnce(&mut CheckpointStore) -> T,
-) -> Option<T> {
-    let World { proto, .. } = w;
-    match kind {
-        ProtocolChoice::Dummy | ProtocolChoice::Mlog => None,
-        ProtocolChoice::Vcl => proto
-            .as_any_mut()
-            .downcast_mut::<Vcl>()
-            .map(|v| f(&mut v.store)),
-        ProtocolChoice::Pcl => proto
-            .as_any_mut()
-            .downcast_mut::<Pcl>()
-            .map(|p| f(&mut p.store)),
-    }
-}
-
-/// Bump a counter in the coordinated engine's `FtStats`; no-op for
-/// `Dummy`/`Mlog` or on a downcast mismatch.
-fn with_ft_stats(w: &mut World, kind: ProtocolChoice, f: impl FnOnce(&mut FtStats)) {
-    let World { proto, .. } = w;
-    match kind {
-        ProtocolChoice::Dummy | ProtocolChoice::Mlog => {}
-        ProtocolChoice::Vcl => {
-            if let Some(v) = proto.as_any_mut().downcast_mut::<Vcl>() {
-                f(&mut v.stats);
-            }
-        }
-        ProtocolChoice::Pcl => {
-            if let Some(p) = proto.as_any_mut().downcast_mut::<Pcl>() {
-                f(&mut p.stats);
-            }
-        }
-    }
 }
 
 /// Tiebreak lane for scrub ticks. The scrubber is a fleet-wide background
@@ -1076,21 +905,18 @@ const SCRUB_LANE: u64 = 1 << 62;
 /// Arm the background scrub service: every `interval` the scrubber
 /// re-verifies every retained replica's digest against its wave record,
 /// launches a re-replication flow from a verified good copy over each
-/// damaged one, and feeds the quarantine threshold. Coordinated engines
-/// only. The service belongs to the checkpoint fleet, not the job epoch —
-/// it survives restarts and stands down only when the job completes.
-pub fn arm_scrubber(sc: &SimCtx, world: &WorldRef, kind: ProtocolChoice, interval: SimDuration) {
-    if matches!(kind, ProtocolChoice::Dummy | ProtocolChoice::Mlog) {
-        return;
-    }
+/// damaged one, and feeds the quarantine threshold. Meaningful for
+/// coordinated engines only (a tick finds nothing to scan otherwise). The
+/// service belongs to the checkpoint fleet, not the job epoch — it
+/// survives restarts and stands down only when the job completes.
+pub fn arm_scrubber(sc: &SimCtx, world: &WorldRef, interval: SimDuration) {
     let handle = world.lock().rt.world_handle();
-    schedule_scrub_tick(sc, handle, kind, interval, sc.now() + interval);
+    schedule_scrub_tick(sc, handle, interval, sc.now() + interval);
 }
 
 fn schedule_scrub_tick(
     sc: &SimCtx,
     handle: Weak<parking_lot::Mutex<World>>,
-    kind: ProtocolChoice,
     interval: SimDuration,
     at: SimTime,
 ) {
@@ -1103,10 +929,10 @@ fn schedule_scrub_tick(
             if w.rt.job_complete() {
                 return;
             }
-            scrub_pass(&mut w, sc, kind);
+            scrub_pass(&mut w, sc);
         }
         let handle = world.lock().rt.world_handle();
-        schedule_scrub_tick(sc, handle, kind, interval, sc.now() + interval);
+        schedule_scrub_tick(sc, handle, interval, sc.now() + interval);
     });
 }
 
@@ -1127,94 +953,17 @@ struct ScrubRepair {
 /// to launch.
 type ScrubFindings = (Vec<(u64, usize, NodeId)>, Vec<NodeId>, Vec<ScrubRepair>);
 
-/// Verify every retained (wave, rank, replica) slot of one engine in
-/// deterministic store order, doing the detection/quarantine accounting
-/// in place and returning what to trace and which repairs to launch. A
-/// damaged copy is repaired only when its holder can still take writes
-/// (not dead, not quarantined — including a quarantine this very pass
-/// triggered) and some replica of the slot still verifies; otherwise the
-/// next restore's replica walk or retained-wave fallback deals with it.
-fn scrub_engine(
-    committed: &[WaveRecord],
-    store: &mut CheckpointStore,
-    stats: &mut FtStats,
-    threshold: u64,
-) -> ScrubFindings {
-    let mut detections = Vec::new();
-    let mut quarantines = Vec::new();
-    let mut repairs = Vec::new();
-    for rec in committed {
-        for r in 0..rec.images.len() {
-            let expected = rec.images[r].digest(rec.wave, r);
-            let before = detections.len();
-            detect_slot_damage(
-                store,
-                rec.wave,
-                r,
-                expected,
-                threshold,
-                stats,
-                &mut detections,
-                &mut quarantines,
-            );
-            for &(wave, rank, node) in &detections[before..] {
-                if store.server_unplaceable(node) {
-                    continue;
-                }
-                let Some(good) = store.locate_intact(wave, rank, expected) else {
-                    continue;
-                };
-                repairs.push(ScrubRepair {
-                    wave,
-                    rank,
-                    node,
-                    expected,
-                    src: good.server,
-                    bytes: good.bytes,
-                });
-            }
-        }
-    }
-    (detections, quarantines, repairs)
-}
-
 /// One scrub pass over the engine's retained waves: account and trace the
 /// damage, then launch one bounded re-replication flow per damaged copy.
 /// The repair write lands only if, when the stream completes, the slot is
 /// still retained, still damaged (an earlier repair may have won), and the
 /// target still takes writes — checked under the lock at completion time.
-fn scrub_pass(w: &mut World, sc: &SimCtx, kind: ProtocolChoice) {
-    let scanned = {
-        let World { proto, .. } = &mut *w;
-        match kind {
-            ProtocolChoice::Dummy | ProtocolChoice::Mlog => None,
-            ProtocolChoice::Vcl => proto.as_any_mut().downcast_mut::<Vcl>().map(|v| {
-                let cfg = v.ft_cfg();
-                let (threshold, chunk, retry) = (
-                    cfg.quarantine_threshold,
-                    cfg.chunk_bytes,
-                    FlowRetry::bounded(cfg),
-                );
-                let (d, q, jobs) =
-                    scrub_engine(&v.committed, &mut v.store, &mut v.stats, threshold);
-                (d, q, jobs, chunk, retry)
-            }),
-            ProtocolChoice::Pcl => proto.as_any_mut().downcast_mut::<Pcl>().map(|p| {
-                let cfg = p.ft_cfg();
-                let (threshold, chunk, retry) = (
-                    cfg.quarantine_threshold,
-                    cfg.chunk_bytes,
-                    FlowRetry::bounded(cfg),
-                );
-                let (d, q, jobs) =
-                    scrub_engine(&p.committed, &mut p.store, &mut p.stats, threshold);
-                (d, q, jobs, chunk, retry)
-            }),
-        }
-    };
-    let Some((detections, quarantines, repairs, chunk, retry)) = scanned else {
+fn scrub_pass(w: &mut World, sc: &SimCtx) {
+    let Some(co) = coordinated(w) else {
         return;
     };
+    let (chunk, retry) = (co.cfg.chunk_bytes, FlowRetry::bounded(&co.cfg));
+    let (detections, quarantines, repairs) = co.scrub_scan();
     for &(wave, rank, node) in &detections {
         sc.trace_proto(ftmpi_sim::ProtoEvent::CorruptDetected {
             wave,
@@ -1244,7 +993,7 @@ fn scrub_pass(w: &mut World, sc: &SimCtx, kind: ProtocolChoice) {
             also_disk: false,
         };
         start_flow_guarded(
-            w,
+            &mut w.rt,
             sc,
             spec,
             retry,
@@ -1252,27 +1001,28 @@ fn scrub_pass(w: &mut World, sc: &SimCtx, kind: ProtocolChoice) {
             // next tick re-detects and tries again.
             |_, _| {},
             move |w, sc, done| {
-                let recorded = with_store(w, kind, |s| {
-                    if !s.server_holds(wave, rank, node) {
-                        return false; // wave GC'd or the holder died mid-repair
-                    }
-                    if s.verify_replica(wave, rank, node, expected).is_ok() {
-                        return false; // an earlier repair already landed
-                    }
-                    s.record_image(
-                        wave,
-                        rank,
-                        StoredImage {
-                            server: node,
-                            bytes,
-                            stored_at: done,
-                            digest: expected,
-                        },
-                    )
-                })
-                .unwrap_or(false);
+                let Some(co) = coordinated(w) else {
+                    return;
+                };
+                let s = &mut co.store;
+                if !s.server_holds(wave, rank, node) {
+                    return; // wave GC'd or the holder died mid-repair
+                }
+                if s.verify_replica(wave, rank, node, expected).is_ok() {
+                    return; // an earlier repair already landed
+                }
+                let recorded = s.record_image(
+                    wave,
+                    rank,
+                    StoredImage {
+                        server: node,
+                        bytes,
+                        stored_at: done,
+                        digest: expected,
+                    },
+                );
                 if recorded {
-                    with_ft_stats(w, kind, |st| st.images_repaired += 1);
+                    co.stats.images_repaired += 1;
                     sc.trace_proto(ftmpi_sim::ProtoEvent::Repair {
                         wave,
                         rank,
@@ -1303,13 +1053,14 @@ fn scrub_pass(w: &mut World, sc: &SimCtx, kind: ProtocolChoice) {
 /// * partition still active → the grace window *expired*
 ///   (`FtStats::partitions_expired`): every rank cut off from the service
 ///   node is declared failed and the job restarts once, correlated
-///   ([`fail_and_restart_many`]). A cut that isolates only servers (no
+///   ([`CheckpointEngine::restart`]). A cut that isolates only servers (no
 ///   ranks on the far side) expires without victims — the watchdog stands
 ///   down and the stalled pushes keep walking their retry ladders.
 ///
 /// Without a grace window the cut is applied but never escalates: flows
-/// and heartbeats stall until the partition heals. `Mlog` does not use the
-/// dispatcher heartbeat model, so the watchdog is skipped.
+/// and heartbeats stall until the partition heals. Engines outside the
+/// heartbeat model ([`CheckpointEngine::heartbeat_detected`]) get no
+/// watchdog.
 ///
 /// Directed cuts arm the same watchdog: a half-open partition stalls one
 /// direction of the heartbeat round-trip, which is indistinguishable from
@@ -1319,7 +1070,6 @@ pub fn partition_cut(
     sc: &SimCtx,
     world: &WorldRef,
     app: &AppFn,
-    kind: ProtocolChoice,
     ft: &FtConfig,
     name: &str,
     nodes: &[NodeId],
@@ -1327,16 +1077,17 @@ pub fn partition_cut(
     tear: bool,
     service_node: NodeId,
 ) {
-    let (handle, epoch) = {
+    let (handle, epoch, watched) = {
         let mut w = world.lock();
         w.rt.net
             .start_partition_with(name, nodes.iter().copied(), direction, tear);
-        (w.rt.world_handle(), w.rt.epoch)
+        let watched = split(&mut w).0.heartbeat_detected();
+        (w.rt.world_handle(), w.rt.epoch, watched)
     };
     let Some(grace) = ft.partition_rollback_after else {
         return;
     };
-    if kind == ProtocolChoice::Mlog {
+    if !watched {
         return;
     }
     let name = name.to_string();
@@ -1347,139 +1098,32 @@ pub fn partition_cut(
         let Some(world) = handle.upgrade() else {
             return;
         };
-        let victims: Vec<usize> = {
-            let mut w = world.lock();
-            if w.rt.job_complete() || w.rt.epoch != epoch {
-                return;
+        let mut w = world.lock();
+        if w.rt.job_complete() || w.rt.epoch != epoch {
+            return;
+        }
+        let healed = !w.rt.net.partition_active(&name);
+        if let Some(co) = coordinated(&mut w) {
+            if healed {
+                co.stats.partitions_suppressed += 1;
+            } else {
+                co.stats.partitions_expired += 1;
             }
-            if !w.rt.net.partition_active(&name) {
-                // Healed inside the grace window: heartbeats were merely
-                // late. Zero rollbacks — the epoch-guard analogue of the
-                // detection-delay false-positive suppression.
-                with_ft_stats(&mut w, kind, |s| s.partitions_suppressed += 1);
-                return;
-            }
-            with_ft_stats(&mut w, kind, |s| s.partitions_expired += 1);
-            let service_cut = nodes.contains(&service_node);
-            (0..w.rt.size())
-                .filter(|&r| nodes.contains(&w.rt.placement.node_of(r)) != service_cut)
-                .collect()
-        };
+        }
+        if healed {
+            // Healed inside the grace window: heartbeats were merely late.
+            // Zero rollbacks — the epoch-guard analogue of the
+            // detection-delay false-positive suppression.
+            return;
+        }
+        let service_cut = nodes.contains(&service_node);
+        let victims: Vec<usize> = (0..w.rt.size())
+            .filter(|&r| nodes.contains(&w.rt.placement.node_of(r)) != service_cut)
+            .collect();
         if victims.is_empty() {
             return;
         }
-        if let Err(e) = fail_and_restart_many(sc, &world, &app, kind, &victims, &ft) {
-            world.lock().rt.record_fatal(&e.to_string());
-        }
+        let (engine, rt) = split(&mut w);
+        engine.restart(rt, sc, &app, &victims, &ft);
     });
-}
-
-/// Single-rank failure handling for the uncoordinated message-logging
-/// protocol: only the victim rolls back; everyone else keeps computing.
-///
-/// The victim restores its own last image, replays its receiver-based log,
-/// and re-executes from there; its re-sent messages are suppressed as
-/// duplicates at the receivers, and messages addressed to it while it was
-/// down wait in the runtime (sender-side transport retransmission).
-pub fn mlog_fail_and_restart(
-    sc: &SimCtx,
-    world: &WorldRef,
-    app: &AppFn,
-    victim: usize,
-    ft: &FtConfig,
-) -> Result<(), RecoveryError> {
-    use crate::mlog::Mlog;
-
-    let mut w = world.lock();
-    if w.rt.job_complete() || w.rt.ranks[victim].status != RankStatus::Running {
-        return Ok(());
-    }
-    let handle = w.rt.world_handle();
-    let now = sc.now();
-
-    // Kill only the victim's task.
-    if let Some(pid) = w.rt.ranks[victim].pid.take() {
-        sc.kill(pid);
-    }
-    w.rt.stats.restarts += 1;
-
-    // Pull the victim's restore data out of the protocol.
-    let (image, log, server, in_flight) = {
-        let World { proto, .. } = &mut *w;
-        let found = proto.name();
-        let Some(mlog) = proto.as_any_mut().downcast_mut::<Mlog>() else {
-            return Err(RecoveryError::ProtocolMismatch {
-                expected: "mlog",
-                found,
-            });
-        };
-        let (image, log, server) = mlog.restore_of(victim);
-        let in_flight = mlog.take_in_flight(victim);
-        mlog.on_rank_restarted(victim);
-        (image, log, server, in_flight)
-    };
-
-    // Roll the victim back (bumps its incarnation: stale per-rank events
-    // and timers die) and rebuild its pre-crash runtime memory.
-    let (skip, credit) = image
-        .as_ref()
-        .map(|i| (i.ops_completed, i.time_credit))
-        .unwrap_or((0, ftmpi_sim::SimDuration::ZERO));
-    w.rt.ranks[victim].reset_for_restart(skip, credit);
-    let incarnation = w.rt.ranks[victim].incarnation;
-    match &image {
-        Some(img) => {
-            w.rt.set_expect_seq(victim, img.expect_seq.clone());
-            w.rt.set_send_seq(victim, img.send_seq.clone());
-        }
-        // No image: the rank restarts from scratch with empty (all-zero)
-        // sparse watermarks.
-        None => w.rt.set_expect_seq(victim, Vec::new()),
-    }
-    if let Some(img) = &image {
-        for m in img.pending.clone() {
-            w.rt.inject_restored(sc, m);
-        }
-    }
-    // Replay the receiver-based log, in delivery order.
-    for m in log {
-        w.rt.inject_restored(sc, m);
-    }
-    // Messages whose log writes were cut short by the failure re-enter
-    // arrival handling in their original order (they re-log under the new
-    // incarnation); doing this before any later traffic preserves the
-    // per-channel FIFO the duplicate watermark depends on.
-    for m in in_flight {
-        w.handle_arrival(sc, m);
-    }
-
-    // Image fetch from the victim's server, then respawn and re-arm its
-    // independent checkpoint cycle.
-    let node = w.rt.placement.node_of(victim);
-    let base = now + ft.restart_delay;
-    let ready = if image.is_some() {
-        w.rt.net
-            .transfer(server, node, ft.image_bytes, base)
-            .delivered
-    } else {
-        base
-    };
-    let period = ft.period;
-    let app = app.clone();
-    drop(w);
-    sc.schedule(ready, move |sc| {
-        let Some(world) = handle.upgrade() else {
-            return;
-        };
-        {
-            let w = world.lock();
-            if w.rt.ranks[victim].incarnation != incarnation {
-                return;
-            }
-        }
-        spawn_rank(sc, &world, victim, app);
-        let handle2 = world.lock().rt.world_handle();
-        Mlog::schedule_rank_ckpt_pub(sc, handle2, victim, sc.now() + period, incarnation);
-    });
-    Ok(())
 }

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use ftmpi_mpi::{
-    spawn_rank, AppFn, DummyProtocol, Placement, Protocol, RaceFixture, RuntimeConfig, RuntimeCore,
+    spawn_rank, AppFn, DummyProtocol, Placement, RaceFixture, RuntimeConfig, RuntimeCore,
     RuntimeStats, World, WorldRef,
 };
 use ftmpi_net::{fault_lane, LinkConfig, LinkFaultKind, NetFaultPlan, NetModel, SoftwareStack};
@@ -12,13 +12,11 @@ use ftmpi_sim::{Sim, SimDuration, SimTime};
 
 use crate::config::FtConfig;
 use crate::deploy::Deployment;
+use crate::engine::{split, CheckpointEngine};
 use crate::failure::FailurePlan;
 use crate::mlog::Mlog;
 use crate::pcl::Pcl;
-use crate::recovery::{
-    arm_scrubber, corrupt_images, inject_kill, inject_kill_many, mlog_fail_and_restart,
-    partition_cut, server_fail,
-};
+use crate::recovery::{arm_scrubber, corrupt_images, inject_kill_many, partition_cut, server_fail};
 use crate::stats::FtStats;
 use crate::vcl::Vcl;
 
@@ -316,9 +314,8 @@ pub enum JobError {
     },
     /// The simulation failed (deadlock or panic — a protocol/model bug).
     Sim(String),
-    /// The failure/recovery path hit a fatal routing error (see
-    /// [`crate::recovery::RecoveryError`]); the message names the broken
-    /// scenario instead of the old downcast panic aborting the process.
+    /// Recovery hit a fatal dead end (every replica of an image corrupt,
+    /// missing or unreachable); the message names the stuck rank.
     Recovery(String),
     /// The run ended without every rank finishing (hit the time guard).
     /// Carries a per-rank status dump for diagnosis.
@@ -446,13 +443,14 @@ pub fn run_job_explored(
         RuntimeConfig::for_stack(stack),
     );
     rt.race_fixture = opts.race_fixture;
-    let proto: Box<dyn Protocol> = match spec.protocol {
+    let mut engine: Box<dyn CheckpointEngine> = match spec.protocol {
         ProtocolChoice::Dummy => Box::new(DummyProtocol),
         ProtocolChoice::Vcl => Box::new(Vcl::new(spec.ft.clone(), &dep)),
         ProtocolChoice::Pcl => Box::new(Pcl::new(spec.ft.clone(), &dep)),
         ProtocolChoice::Mlog => Box::new(Mlog::new(spec.ft.clone(), &dep)),
     };
-    let world: WorldRef = World::new_ref(rt, proto);
+    let coordinated = engine.coordinated().is_some();
+    let world: WorldRef = World::new_ref(rt, engine);
 
     let mut sim = Sim::new();
     // Backend override first (it replaces the still-empty queue), then the
@@ -476,25 +474,21 @@ pub fn run_job_explored(
     let w2 = Arc::clone(&world);
     let app = Arc::clone(&spec.app);
     let nranks = spec.nranks;
-    let protocol = spec.protocol;
     sim.schedule(SimTime::ZERO, move |sc| {
         for r in 0..nranks {
             spawn_rank(sc, &w2, r, Arc::clone(&app));
         }
-        match protocol {
-            ProtocolChoice::Dummy => {}
-            ProtocolChoice::Vcl => Vcl::start(&w2, sc),
-            ProtocolChoice::Pcl => Pcl::start(&w2, sc),
-            ProtocolChoice::Mlog => Mlog::start(&w2, sc),
-        }
+        let mut w = w2.lock();
+        let (engine, rt) = split(&mut w);
+        engine.start(rt, sc);
     });
 
     for &at in &spec.wave_triggers {
         let w2 = Arc::clone(&world);
-        sim.schedule(at, move |sc| match protocol {
-            ProtocolChoice::Dummy | ProtocolChoice::Mlog => {}
-            ProtocolChoice::Vcl => Vcl::trigger_wave_now(&w2, sc),
-            ProtocolChoice::Pcl => Pcl::trigger_wave_now(&w2, sc),
+        sim.schedule(at, move |sc| {
+            let mut w = w2.lock();
+            let (engine, rt) = split(&mut w);
+            engine.trigger(rt, sc);
         });
     }
 
@@ -505,11 +499,7 @@ pub fn run_job_explored(
     // `FailurePlan::merged`).
     for (at, server) in spec.failures.server_kills.clone() {
         let w2 = Arc::clone(&world);
-        sim.schedule(at, move |sc| {
-            if let Err(e) = server_fail(sc, &w2, protocol, server) {
-                w2.lock().rt.record_fatal(&e.to_string());
-            }
-        });
+        sim.schedule(at, move |sc| server_fail(sc, &w2, server));
     }
 
     for (at, victim) in spec.failures.kills.clone() {
@@ -517,14 +507,7 @@ pub fn run_job_explored(
         let app = Arc::clone(&spec.app);
         let ft = spec.ft.clone();
         sim.schedule(at, move |sc| {
-            let outcome = if protocol == ProtocolChoice::Mlog {
-                mlog_fail_and_restart(sc, &w2, &app, victim, &ft)
-            } else {
-                inject_kill(sc, &w2, &app, protocol, victim, &ft)
-            };
-            if let Err(e) = outcome {
-                w2.lock().rt.record_fatal(&e.to_string());
-            }
+            inject_kill_many(sc, &w2, &app, &[victim], &ft)
         });
     }
 
@@ -542,20 +525,9 @@ pub fn run_job_explored(
         let ft = spec.ft.clone();
         sim.schedule(at, move |sc| {
             if let Some(idx) = server_idx {
-                if let Err(e) = server_fail(sc, &w2, protocol, idx) {
-                    w2.lock().rt.record_fatal(&e.to_string());
-                }
+                server_fail(sc, &w2, idx);
             }
-            let outcome = if protocol == ProtocolChoice::Mlog {
-                victims
-                    .iter()
-                    .try_for_each(|&v| mlog_fail_and_restart(sc, &w2, &app, v, &ft))
-            } else {
-                inject_kill_many(sc, &w2, &app, protocol, &victims, &ft)
-            };
-            if let Err(e) = outcome {
-                w2.lock().rt.record_fatal(&e.to_string());
-            }
+            inject_kill_many(sc, &w2, &app, &victims, &ft);
         });
     }
 
@@ -622,7 +594,6 @@ pub fn run_job_explored(
                 sc,
                 &w2,
                 &app,
-                protocol,
                 &ft,
                 &name,
                 &nodes,
@@ -649,30 +620,21 @@ pub fn run_job_explored(
     for ev in spec.failures.expanded_corruptions() {
         let w2 = Arc::clone(&world);
         sim.schedule_link_fault(ev.at, fault_lane(fault_idx), move |sc| {
-            if let Err(e) = corrupt_images(sc, &w2, protocol, ev.server, ev.rank) {
-                w2.lock().rt.record_fatal(&e.to_string());
-            }
+            corrupt_images(sc, &w2, ev.server, ev.rank);
         });
         fault_idx += 1;
     }
 
-    // Background scrubber (off by default). `FTMPI_NO_SCRUB` force-disables
-    // it regardless of the spec — the operational kill switch when a scrub
-    // storm needs to be ruled out in the field.
-    if let Some(interval) = spec.ft.scrub_interval {
-        if std::env::var_os("FTMPI_NO_SCRUB").is_none()
-            && matches!(protocol, ProtocolChoice::Vcl | ProtocolChoice::Pcl)
-        {
-            let w2 = Arc::clone(&world);
-            sim.schedule(SimTime::ZERO, move |sc| {
-                arm_scrubber(sc, &w2, protocol, interval);
-            });
-        }
+    // Background scrubber (off by default; only a server fleet has
+    // replicas to scrub).
+    if let Some(interval) = spec.ft.scrub_interval.filter(|_| coordinated) {
+        let w2 = Arc::clone(&world);
+        sim.schedule(SimTime::ZERO, move |sc| arm_scrubber(sc, &w2, interval));
     }
 
     let report = sim.run().map_err(|e| JobError::Sim(e.to_string()))?;
 
-    let w = world.lock();
+    let mut w = world.lock();
     if let Some(e) = &w.rt.fatal_error {
         return Err(JobError::Recovery(e.clone()));
     }
@@ -690,23 +652,8 @@ pub fn run_job_explored(
     };
     let rt_stats = w.rt.stats.clone();
     let (leftover_unexpected, leftover_posted) = w.rt.leftover_messages();
+    let ft_stats = split(&mut w).0.final_stats();
     drop(w);
-    // Pull protocol stats (needs the mutable downcast hook).
-    let ft_stats = {
-        let mut w = world.lock();
-        let World { proto, .. } = &mut *w;
-        if let Some(vcl) = proto.as_any_mut().downcast_mut::<Vcl>() {
-            vcl.finalize_stats();
-            vcl.stats.clone()
-        } else if let Some(pcl) = proto.as_any_mut().downcast_mut::<Pcl>() {
-            pcl.finalize_stats();
-            pcl.stats.clone()
-        } else if let Some(mlog) = proto.as_any_mut().downcast_mut::<Mlog>() {
-            mlog.stats.clone()
-        } else {
-            FtStats::default()
-        }
-    };
     Ok((
         JobResult {
             completion,

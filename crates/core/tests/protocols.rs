@@ -992,3 +992,33 @@ fn corrupting_an_empty_store_at_time_zero_is_a_noop() {
     );
     assert_clean(&res);
 }
+
+/// Checkpoint-server faults touch only the coordinated engines' fleet:
+/// under Dummy (no checkpoints) and Mlog (images kept in-engine) a server
+/// kill, a targeted corruption, whole-server rot and a scrub interval
+/// change nothing about the run. Each injection is still one kernel event
+/// of its own (the scrubber is never armed), so the event count grows by
+/// exactly three and every other encoded field stays put.
+#[test]
+fn coordinated_faults_are_noops_for_dummy_and_mlog() {
+    fn without_events(res: &JobResult) -> String {
+        let encoded = res.encode();
+        encoded
+            .lines()
+            .filter(|l| !l.starts_with("events="))
+            .collect::<Vec<_>>()
+            .join("\n")
+    }
+    for proto in [ProtocolChoice::Dummy, ProtocolChoice::Mlog] {
+        let spec = base_spec(4, proto, ring_app(60, 8_192, SimDuration::from_millis(200)));
+        let clean = run(spec.clone());
+        let mut faulty = spec;
+        faulty.failures = FailurePlan::server_kill_at(SimTime::from_nanos(3_000_000_000), 0)
+            .with_corruption(SimTime::from_nanos(4_000_000_000), 1, 2)
+            .with_server_corruption(SimTime::from_nanos(5_000_000_000), 1);
+        faulty.ft.scrub_interval = Some(SimDuration::from_secs(1));
+        let faulty = run(faulty);
+        assert_eq!(without_events(&faulty), without_events(&clean), "{proto:?}");
+        assert_eq!(faulty.events, clean.events + 3, "{proto:?}");
+    }
+}

@@ -12,6 +12,10 @@
 //!   only handled when the process is inside the MPI library (the progress
 //!   engine runs); the non-blocking protocol handles them asynchronously in
 //!   its separate daemon process and ignores this hook.
+//!
+//! `Protocol: Any`: the world's type-erased engine upcasts to
+//! `&mut dyn Any`, from which `ftmpi-core` recovers its concrete engine —
+//! no per-engine conversion hook.
 
 use std::any::Any;
 
@@ -44,7 +48,7 @@ pub enum ArrivalAction {
 ///
 /// Implementations live in `ftmpi-core`; [`DummyProtocol`] (the paper's
 /// "Vdummy" / plain runs) is provided here as the no-op baseline.
-pub trait Protocol: Send {
+pub trait Protocol: Any + Send {
     /// Short name used in reports ("dummy", "vcl", "pcl").
     fn name(&self) -> &'static str;
 
@@ -69,10 +73,6 @@ pub trait Protocol: Send {
     fn on_rank_finished(&mut self, rt: &mut RuntimeCore, sc: &SimCtx, rank: Rank) {
         let _ = (rt, sc, rank);
     }
-
-    /// Downcast support so `ftmpi-core` controller events can reach their
-    /// concrete protocol state through the type-erased world.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 /// No-fault-tolerance baseline: all hooks pass through.
@@ -94,9 +94,5 @@ impl Protocol for DummyProtocol {
 
     fn on_arrival(&mut self, _rt: &mut RuntimeCore, _sc: &SimCtx, _msg: &AppMsg) -> ArrivalAction {
         ArrivalAction::Deliver
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
