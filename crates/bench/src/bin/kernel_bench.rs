@@ -1,8 +1,9 @@
 //! Kernel event-queue microbenchmark: ladder vs. binary-heap backend across
-//! the three event-time densities the kernel actually sees (same-instant
-//! marker storms, near-time chunked flows, wide-spread timers), plus one
-//! end-to-end anchor: a cold `fig5_servers --fast` wall measurement proving
-//! the O(1) queue shows up in figure time, not just in queue ops.
+//! the four event-time densities the kernel actually sees (same-instant
+//! marker storms, near-time chunked flows, wide-spread timers, and the
+//! long-horizon population of a 10⁵-rank job), plus one end-to-end anchor:
+//! a cold `fig5_servers --fast` wall measurement proving the O(1) queue
+//! shows up in figure time, not just in queue ops.
 //!
 //! The deterministic op driver lives in [`ftmpi_sim::microbench`] (the sim
 //! crates forbid wall-clock reads, so the timing lives here); both backends

@@ -12,7 +12,10 @@
 //!
 //! Each record carries wall time, events/s, virtual completion, committed
 //! waves and peak RSS. Writes `BENCH_scale.json` to the current directory
-//! (run it from the repository root).
+//! (run it from the repository root). Under `--quick` the two scale runs'
+//! event counts, committed waves and completion times must equal committed
+//! constants, so a kernel change that alters these runs fails the bench
+//! instead of only writing different numbers.
 //!
 //! ```sh
 //! cargo run --release -p ftmpi-bench --bin scale_bench [-- --quick]
@@ -87,6 +90,11 @@ fn reset_peak_rss() {
     let _ = std::fs::write("/proc/self/clear_refs", "5");
 }
 
+/// `--quick` scale-run results as `(events, waves_committed,
+/// completion_ns)`: the 10⁵-rank ring and the 320×320 halo.
+const QUICK_RING: (u64, u64, u64) = (2_747_355, 249_118, 80_685_920_937);
+const QUICK_HALO: (u64, u64, u64) = (4_454_503, 256_034, 83_052_964_735);
+
 struct Measured {
     wall_s: f64,
     events: u64,
@@ -132,6 +140,15 @@ fn record(topology: &str, nranks: usize, m: &Measured) -> JsonObject {
     rec
 }
 
+/// Fail unless `m` reproduces the pinned `(events, waves, completion)`.
+fn assert_pinned(label: &str, m: &Measured, pinned: (u64, u64, u64)) {
+    assert_eq!(
+        (m.events, m.waves, m.completion_ns),
+        pinned,
+        "{label}: (events, waves_committed, completion_ns) moved from the pinned --quick run"
+    );
+}
+
 fn print_row(label: &str, m: &Measured) {
     println!(
         "  {label:26} {:9.2}s wall  {:>11} events ({:6.2} M/s)  {:>4} waves  \
@@ -174,6 +191,9 @@ fn main() {
         "expected two checkpoint cycles per rank, saw {} waves",
         ring.waves
     );
+    if quick {
+        assert_pinned("ring", &ring, QUICK_RING);
+    }
     records.push(record("ring", ring_n, &ring));
 
     let side = 320; // 320 × 320 = 102 400 ranks
@@ -182,6 +202,9 @@ fn main() {
         halo_app(side, scale_iters.min(4), 1_024, compute),
     ));
     print_row(&format!("halo {side}x{side}"), &halo);
+    if quick {
+        assert_pinned("halo", &halo, QUICK_HALO);
+    }
     records.push(record("halo2d", side * side, &halo));
 
     let path = "BENCH_scale.json";

@@ -7,9 +7,10 @@
 //!
 //! Two interchangeable backends implement the order:
 //!
-//! * the **ladder queue** ([`crate::ladder`]) — bucketed time wheels with a
-//!   sorted bottom rung, O(1) for the dense same/near-time traffic the
-//!   checkpoint protocols generate (the default), and
+//! * the **ladder queue** ([`crate::ladder`]) — a sorted bottom under a
+//!   stack of bucketed calendar rungs, O(1) per event both for the dense
+//!   same/near-time traffic the checkpoint protocols generate and for the
+//!   long-horizon populations of 10⁵-rank jobs (the default), and
 //! * a **binary heap** of the same keys, kept behind the `FTMPI_NO_LADDER`
 //!   environment toggle so CI can prove the two produce byte-identical
 //!   figures.
@@ -649,14 +650,18 @@ mod tests {
         let digest = |ev: &Event| (ev.time.as_nanos(), ev.seq, ev.tiekey);
         match rng.next() % 10 {
             // Pushes dominate, with a gap spectrum from exact ties to
-            // far-future: the mix that exercises bottom, wheel and overflow.
+            // far-future: the mix that exercises the bottom, the rungs and
+            // the overflow. The last arm is the long horizon, small
+            // same-instant groups up to 49 s out, which keeps the overflow
+            // and the top rung populated while child rungs come and go.
             0..=4 => {
                 let r = rng.next();
-                let gap = match r % 16 {
+                let gap = match r % 18 {
                     0..=6 => 0,
                     7..=10 => r % 1_000,
                     11..=13 => r % 1_000_000,
-                    _ => r % 2_000_000_000,
+                    14..=15 => r % 2_000_000_000,
+                    _ => (r % 4_096) * 12_000_000,
                 };
                 let lane = match rng.next() % 4 {
                     0 => None,

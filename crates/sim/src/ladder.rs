@@ -1,61 +1,49 @@
-//! Calendar/ladder queue: the event queue's O(1) backend for dense-time
-//! traffic.
+//! Ladder queue: the event queue's O(1) backend (Tang, Goh & Thng,
+//! "Ladder Queue: An O(1) priority queue structure for large-scale discrete
+//! event simulation", ACM TOMACS 2005).
 //!
-//! Three rungs, nearest first:
+//! Pending keys live in three tiers, nearest first:
 //!
-//! * **bottom** — a sorted `Vec<Key>` with a head cursor. Holds every
-//!   pending key with time below `drained_until`. Pop is a cursor bump;
-//!   a push at or after the current tail (the overwhelmingly common case:
-//!   same-instant events appended in `seq` order) is a `Vec::push`.
-//! * **wheel** — [`WHEEL_BUCKETS`] unsorted buckets of `width` nanoseconds
-//!   each, covering `[wheel_start, wheel_start + WHEEL_BUCKETS·width)`.
-//!   A push in range is an O(1) append to its bucket; when the bottom
-//!   drains, the next non-empty bucket is sorted and *spilled* into it.
-//! * **overflow** — an unsorted `Vec` for keys beyond the wheel. When both
-//!   lower rungs drain, the wheel re-anchors at the overflow minimum and
-//!   redistributes what now fits.
+//! * **bottom** — a sorted `Vec<Key>` with a head cursor, holding every key
+//!   at or below `drained_through`. Pop is a cursor bump; a push at or after
+//!   the current tail (the overwhelmingly common case: same-instant events
+//!   appended in `seq` order) is a `Vec::push`.
+//! * **rungs** — a stack of calendars, each [`BUCKETS`] unsorted buckets over
+//!   an inclusive time range `[start, last]`. A push goes to the deepest
+//!   rung whose range holds its time, an O(1) bucket append. When the bottom
+//!   drains, the deepest rung's first non-empty bucket is sorted and spilled
+//!   into it, and `drained_through` moves to the latest key spilled; the
+//!   bucket keeps taking pushes above that point until it is found empty. A
+//!   rung whose buckets are used up is popped.
+//! * **overflow** — an unsorted `Vec` of keys beyond the top rung.
 //!
-//! A bucket about to spill more than [`SPLIT_SPILL`] events is **split**
-//! instead: the wheel re-anchors at the bucket with a 256× narrower width
-//! (the ladder's "next rung down"), so the sorted bottom — and the cost of
-//! the O(len) inserts that pushes into the already-drained past pay — stays
-//! bounded no matter how densely events cluster.
+//! Once every rung has drained, the overflow is re-anchored: a new top rung
+//! spans its whole horizon `[min, max]`, so every overflow key lands in one
+//! pass, and the overflow afterwards collects only keys pushed beyond that
+//! horizon. A bucket about to spill more than [`SPLIT_SPILL`] keys at two or
+//! more distinct times spawns a **child rung** over exactly that bucket
+//! instead, at O(bucket) cost; the parent's later buckets and the overflow
+//! stay where they are. A key is therefore moved once when its
+//! overflow is re-anchored and once per child rung spawned over it: at most
+//! eight moves however far ahead it was scheduled, since a top rung's
+//! buckets are at most 2⁵⁶ ns wide and each child is 256× narrower.
 //!
-//! The bucket `width` also adapts to observed event-time density, but
-//! **only at re-anchor or split time** and only from what was already
-//! pushed — a deterministic function of the event sequence, never of
-//! wall-clock or memory state, so replays stay bit-identical.
-//!
-//! Ordering is total on [`Key`] `(time, tiekey, seq)` — identical to the
-//! heap backend, which is what the differential test in `event.rs` pins.
+//! Every structural decision depends only on the keys pushed so far, never
+//! on wall-clock or memory state, and ordering is total on [`Key`]
+//! `(time, tiekey, seq)` — identical to the heap backend, which is what the
+//! differential test in `event.rs` pins.
 
-/// Number of wheel buckets. Power of two, sized so the wheel covers a few
-/// thousand "typical gaps" between re-anchors without the array itself
-/// becoming a cache burden.
-pub(crate) const WHEEL_BUCKETS: usize = 256;
+/// Buckets per rung.
+const BUCKETS: usize = 256;
 
-/// Bucket width the queue starts with (1 µs) — microsecond-scale gaps are
-/// the NIC/latency granularity of the network model. Re-anchoring adapts it.
-const INITIAL_WIDTH_NS: u64 = 1_000;
-
-/// Widest allowed bucket (keeps `WHEEL_BUCKETS · width` far from overflow).
-const MAX_WIDTH_NS: u64 = 1 << 48;
-
-/// Spilled buckets averaging more events than this halve the width.
-const DENSE_PER_BUCKET: u64 = 16;
-
-/// Spilled buckets averaging fewer events than this double the width.
-const SPARSE_PER_BUCKET: u64 = 2;
-
-/// A bucket about to spill more events than this is *split* instead: the
-/// wheel re-anchors at the bucket with a 256× narrower width (recursively,
-/// down to 1 ns). Splitting bounds the bottom rung — and with it the cost
-/// of the sorted inserts near-past pushes pay — regardless of how many
-/// events pile into one bucket. Without it, a steady near-time workload
-/// (thousands of events within a microsecond, the chunked-flow shape)
-/// degenerates: one spill dumps the whole population into the bottom and
-/// every subsequent push becomes an O(n) memmove.
-const SPLIT_SPILL: usize = 64;
+/// A bucket about to spill more keys than this, at two or more distinct
+/// times, spawns a child rung instead. The bound keeps each spill to a
+/// narrow span of time: a push that falls inside the spilled span (at or
+/// below `drained_through`, but not at the bottom's tail) pays a binary
+/// search and an O(len) insert into the sorted bottom instead of an O(1)
+/// bucket append. On the fig5 and fig7 `--fast` jobs, 2.5–2.7% of pushes
+/// take that path at 16, 7–15% at 32 and 37–40% at 64.
+const SPLIT_SPILL: usize = 16;
 
 /// Scheduling key: the total event order `(time, tiekey, seq)` plus the
 /// arena slot of the payload. Sorting moves only this 32-byte `Copy` value.
@@ -67,47 +55,58 @@ pub(crate) struct Key {
     pub slot: u32,
 }
 
+/// One calendar over the inclusive range `[start, last]`, in buckets of
+/// `width = (last − start) / BUCKETS + 1` ns. Buckets below `cur` are empty:
+/// spilled, spawned into a child, or skipped. Bucket `cur` holds only keys
+/// above `drained_through`.
+struct Rung {
+    buckets: Vec<Vec<Key>>,
+    start: u64,
+    last: u64,
+    width: u64,
+    cur: usize,
+}
+
+impl Rung {
+    /// Append `k`, whose time lies in `[start, last]` — which keeps the
+    /// bucket index below [`BUCKETS`].
+    fn place(&mut self, k: Key) {
+        self.buckets[((k.time_ns - self.start) / self.width) as usize].push(k);
+    }
+}
+
 pub(crate) struct LadderQueue {
-    /// Sorted ascending; `bottom[head..]` are pending. Every key here is
-    /// strictly below `drained_until`.
+    /// Sorted ascending; `bottom[head..]` are pending.
     bottom: Vec<Key>,
     head: usize,
-    wheel: Vec<Vec<Key>>,
-    wheel_start: u64,
-    width: u64,
-    /// Next wheel bucket to spill; buckets below `cur` are empty.
-    cur: usize,
-    /// Times strictly below this belong to the bottom rung.
-    drained_until: u64,
-    /// Unsorted keys beyond the wheel span.
+    /// Times at or below this belong to the bottom: the latest key spilled
+    /// into it. `None` before the first spill.
+    drained_through: Option<u64>,
+    /// `rungs[..depth]` are live, top first, each child covering one
+    /// bucket of its parent. Popped rungs keep their bucket storage for the
+    /// next spawn.
+    rungs: Vec<Rung>,
+    depth: usize,
+    /// Unsorted keys beyond the top rung's `last`.
     overflow: Vec<Key>,
     len: usize,
-    /// Sweep statistics since the last re-anchor (width adaptation input).
-    spilled_events: u64,
-    spilled_buckets: u64,
-    /// Scratch vector recycled across re-anchors.
-    scratch: Vec<Key>,
+    /// Keys moved by re-anchors and spawns (the amortized-cost test).
+    #[cfg(test)]
+    replaced: u64,
 }
 
 impl LadderQueue {
     pub fn new() -> LadderQueue {
-        LadderQueue::with_width(INITIAL_WIDTH_NS)
-    }
-
-    fn with_width(width: u64) -> LadderQueue {
         LadderQueue {
             bottom: Vec::new(),
             head: 0,
-            wheel: (0..WHEEL_BUCKETS).map(|_| Vec::new()).collect(),
-            wheel_start: 0,
-            width: width.clamp(1, MAX_WIDTH_NS),
-            cur: 0,
-            drained_until: 0,
+            drained_through: None,
+            rungs: Vec::new(),
+            depth: 0,
             overflow: Vec::new(),
             len: 0,
-            spilled_events: 0,
-            spilled_buckets: 0,
-            scratch: Vec::new(),
+            #[cfg(test)]
+            replaced: 0,
         }
     }
 
@@ -117,8 +116,8 @@ impl LadderQueue {
 
     pub fn push(&mut self, k: Key) {
         self.len += 1;
-        if k.time_ns < self.drained_until {
-            // Below the drain point: the key must enter the sorted bottom.
+        if Some(k.time_ns) <= self.drained_through {
+            // In the drained past: the key must enter the sorted bottom.
             // Appending covers the dense same-time case (new events carry
             // fresh `seq`s, sorting at or after the current tail); anything
             // else binary-searches into the live suffix.
@@ -132,11 +131,16 @@ impl LadderQueue {
             }
             return;
         }
-        let idx = (k.time_ns - self.wheel_start) / self.width;
-        if idx < WHEEL_BUCKETS as u64 {
-            self.wheel[idx as usize].push(k);
-        } else {
-            self.overflow.push(k);
+        // Every live rung's unspilled range starts at or below any time
+        // past `drained_through`, so the first rung whose `last` reaches
+        // the key, deepest first, holds it.
+        match self.rungs[..self.depth]
+            .iter_mut()
+            .rev()
+            .find(|r| k.time_ns <= r.last)
+        {
+            Some(rung) => rung.place(k),
+            None => self.overflow.push(k),
         }
     }
 
@@ -164,147 +168,103 @@ impl LadderQueue {
         Some(k)
     }
 
-    /// Make `bottom[head]` the queue minimum, spilling wheel buckets and
-    /// re-anchoring from the overflow as needed. `false` iff empty.
+    /// Make `bottom[head]` the queue minimum: spill the deepest rung's next
+    /// bucket, spawning a child over a dense one, popping used-up rungs and
+    /// re-anchoring from the overflow once none is left. `false` iff empty.
     fn ensure_head(&mut self) -> bool {
-        loop {
-            if self.head < self.bottom.len() {
-                return true;
-            }
+        while self.head == self.bottom.len() {
             self.bottom.clear();
             self.head = 0;
-            // Spill the next non-empty wheel bucket into the bottom.
-            while self.cur < WHEEL_BUCKETS {
-                if self.wheel[self.cur].is_empty() {
-                    self.cur += 1;
-                    self.drained_until = self
-                        .wheel_start
-                        .saturating_add(self.cur as u64 * self.width);
+            let Some(rung) = self.depth.checked_sub(1).map(|d| &mut self.rungs[d]) else {
+                if self.overflow.is_empty() {
+                    return false;
+                }
+                let (lo, hi) = self.overflow.iter().fold((u64::MAX, 0), |(lo, hi), k| {
+                    (lo.min(k.time_ns), hi.max(k.time_ns))
+                });
+                let keys = std::mem::take(&mut self.overflow);
+                self.push_rung(lo, hi, keys);
+                continue;
+            };
+            let Some(i) = (rung.cur..BUCKETS).find(|&i| !rung.buckets[i].is_empty()) else {
+                self.depth -= 1;
+                continue;
+            };
+            // Bucket `i` stays open after a spill: pushes above the drain
+            // point keep landing in it until it is found empty here.
+            rung.cur = i;
+            let bucket = &mut rung.buckets[i];
+            if bucket.len() > SPLIT_SPILL {
+                // Too many to spill: spawn a child over distinct times, or
+                // hand a same-instant group's storage to the bottom. Either
+                // way the bucket lets go of its large buffer, so rungs
+                // retain at most `SPLIT_SPILL`-key buffers across laps.
+                let keys = std::mem::take(bucket);
+                if keys.iter().any(|k| k.time_ns != keys[0].time_ns) {
+                    // The child covers the bucket, clipped to this rung's
+                    // range: later times belong to the ancestors. Bucket `i`
+                    // holds a key, so `i · width ≤ last − start`.
+                    rung.cur = i + 1;
+                    let lo = rung.start + i as u64 * rung.width;
+                    let hi = lo.saturating_add(rung.width - 1).min(rung.last);
+                    self.push_rung(lo, hi, keys);
                     continue;
                 }
-                if self.width > 1
-                    && self.wheel[self.cur].len() > SPLIT_SPILL
-                    && self.split_current()
-                {
-                    // Re-anchored narrower over the dense bucket: rescan
-                    // from the new wheel's first bucket.
-                    continue;
-                }
-                let bucket = &mut self.wheel[self.cur];
-                self.cur += 1;
-                self.drained_until = self
-                    .wheel_start
-                    .saturating_add(self.cur as u64 * self.width);
-                self.spilled_events += bucket.len() as u64;
-                self.spilled_buckets += 1;
-                // The bucket keeps its capacity inside the wheel — spilled
-                // storage is recycled on the next lap.
-                self.bottom.append(bucket);
-                self.bottom.sort_unstable();
-                return true;
-            }
-            if self.overflow.is_empty() {
-                return false;
-            }
-            self.reanchor();
-        }
-    }
-
-    /// Re-anchor the wheel *at the current dense bucket* with a 256×
-    /// narrower width, redistributing its keys over the new span; later
-    /// buckets (now beyond the span) move to the overflow. Returns `false`
-    /// when every key in the bucket sits at one instant — no width can
-    /// separate them, and a same-instant spill is cheap anyway (new pushes
-    /// at that instant carry fresh `seq`s and append at the bottom's tail).
-    fn split_current(&mut self) -> bool {
-        let bucket = &self.wheel[self.cur];
-        let min_t = bucket.iter().map(|k| k.time_ns).min();
-        let max_t = bucket.iter().map(|k| k.time_ns).max();
-        if min_t == max_t {
-            return false;
-        }
-        let start = self.wheel_start + self.cur as u64 * self.width;
-        // ceil: the new span must still cover the whole old bucket. The
-        // slack this adds means the new span can reach slightly *past* the
-        // old bucket, so keys from later buckets (and even the overflow)
-        // may belong on either side of the new wheel/overflow boundary —
-        // every key at or above the split point is re-placed under the new
-        // anchor to keep the rung invariants exact. Later rungs are near
-        // empty in the dense steady state that triggers splits, so this
-        // stays O(bucket).
-        let new_width = self.width.div_ceil(WHEEL_BUCKETS as u64).max(1);
-        let mut pending = std::mem::take(&mut self.scratch);
-        pending.clear();
-        for b in &mut self.wheel[self.cur..] {
-            pending.append(b);
-        }
-        pending.append(&mut self.overflow);
-        self.wheel_start = start;
-        self.width = new_width;
-        self.cur = 0;
-        self.drained_until = start;
-        for k in pending.drain(..) {
-            let idx = (k.time_ns - start) / new_width;
-            if idx < WHEEL_BUCKETS as u64 {
-                self.wheel[idx as usize].push(k);
+                self.bottom = keys;
             } else {
-                self.overflow.push(k);
+                // Small buffers stay in the rung, recycled on the next lap.
+                self.bottom.append(bucket);
             }
+            self.bottom.sort_unstable();
+            self.drained_through = self.bottom.last().map(|k| k.time_ns);
         }
-        self.scratch = pending;
         true
     }
 
-    /// Re-anchor the wheel at the overflow minimum, redistributing every
-    /// key that now fits, and adapt the bucket width from the sweep
-    /// statistics of the finished lap.
-    fn reanchor(&mut self) {
-        if let Some(per_bucket) = self.spilled_events.checked_div(self.spilled_buckets) {
-            if per_bucket > DENSE_PER_BUCKET {
-                self.width = (self.width / 2).max(1);
-            } else if per_bucket < SPARSE_PER_BUCKET {
-                self.width = self.width.saturating_mul(2).min(MAX_WIDTH_NS);
-            }
+    /// Push a rung over `[start, last]` below the deepest live one and move
+    /// `keys`, all within that range, into it.
+    fn push_rung(&mut self, start: u64, last: u64, keys: Vec<Key>) {
+        if self.rungs.len() == self.depth {
+            self.rungs.push(Rung {
+                buckets: (0..BUCKETS).map(|_| Vec::new()).collect(),
+                start: 0,
+                last: 0,
+                width: 1,
+                cur: 0,
+            });
         }
-        self.spilled_events = 0;
-        self.spilled_buckets = 0;
-        let min_t = self
-            .overflow
-            .iter()
-            .map(|k| k.time_ns)
-            .min()
-            .expect("reanchor on empty overflow");
-        self.wheel_start = min_t;
-        self.drained_until = min_t;
-        self.cur = 0;
-        let mut pending = std::mem::take(&mut self.overflow);
-        self.scratch.clear();
-        for k in pending.drain(..) {
-            let idx = (k.time_ns - self.wheel_start) / self.width;
-            if idx < WHEEL_BUCKETS as u64 {
-                self.wheel[idx as usize].push(k);
-            } else {
-                self.scratch.push(k);
-            }
+        let rung = &mut self.rungs[self.depth];
+        self.depth += 1;
+        rung.start = start;
+        rung.last = last;
+        rung.width = (last - start) / BUCKETS as u64 + 1;
+        rung.cur = 0;
+        #[cfg(test)]
+        {
+            self.replaced += keys.len() as u64;
         }
-        std::mem::swap(&mut self.overflow, &mut self.scratch);
-        self.scratch = pending; // recycle the drained vector's capacity
+        for k in keys {
+            rung.place(k);
+        }
     }
 
     /// Move every pending key into `out` (compaction support). The queue is
-    /// left empty but keeps its anchor and learned width.
+    /// left empty but keeps its rungs, so a rebuild re-places keys where
+    /// they were.
     pub fn drain_into(&mut self, out: &mut Vec<Key>) {
         out.extend_from_slice(&self.bottom[self.head..]);
         self.bottom.clear();
         self.head = 0;
-        for bucket in &mut self.wheel[self.cur..] {
-            out.append(bucket);
+        for rung in &mut self.rungs[..self.depth] {
+            for bucket in &mut rung.buckets[rung.cur..] {
+                out.append(bucket);
+            }
         }
         out.append(&mut self.overflow);
         self.len = 0;
     }
 
-    /// Rebuild from a key set (compaction support), keeping learned width.
+    /// Rebuild from a key set (compaction support).
     pub fn rebuild(&mut self, keys: Vec<Key>) {
         debug_assert_eq!(self.len, 0, "rebuild on a non-empty ladder");
         for k in keys {
@@ -316,6 +276,8 @@ impl LadderQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     fn key(time_ns: u64, seq: u64) -> Key {
         Key {
@@ -330,11 +292,74 @@ mod tests {
         std::iter::from_fn(|| q.pop()).map(|k| k.seq).collect()
     }
 
+    /// xorshift64*: the tests' deterministic generator.
+    fn xorshift(x: &mut u64) -> u64 {
+        *x ^= *x >> 12;
+        *x ^= *x << 25;
+        *x ^= *x >> 27;
+        x.wrapping_mul(0x2545F4914F6CDD1D)
+    }
+
+    /// A ladder driven in lockstep with a model heap; every pop is checked.
+    struct Checked {
+        q: LadderQueue,
+        model: BinaryHeap<Reverse<Key>>,
+        seq: u64,
+    }
+
+    impl Checked {
+        fn new() -> Checked {
+            Checked {
+                q: LadderQueue::new(),
+                model: BinaryHeap::new(),
+                seq: 0,
+            }
+        }
+
+        fn push(&mut self, time_ns: u64) {
+            let k = key(time_ns, self.seq);
+            self.seq += 1;
+            self.q.push(k);
+            self.model.push(Reverse(k));
+        }
+
+        fn pop(&mut self) -> Key {
+            let want = self.model.pop().map(|Reverse(k)| k);
+            assert_eq!(self.q.pop(), want);
+            assert_eq!(self.q.len(), self.model.len());
+            want.expect("pop from an empty model")
+        }
+
+        fn finish(mut self) {
+            while !self.model.is_empty() {
+                self.pop();
+            }
+            assert!(self.q.pop().is_none());
+        }
+    }
+
+    /// 100 keys 1 ns apart from t = 1 000, plus one at 1 000 000. The top
+    /// rung covers `[1_000, 1_000_000]` in 3 903 ns buckets; its bucket 0
+    /// is dense and spawns a child over `[1_000, 4_902]` in 16 ns buckets,
+    /// whose first bucket spills. Returns with the first key popped.
+    fn with_live_child() -> Checked {
+        let mut c = Checked::new();
+        for t in 1_000..1_100 {
+            c.push(t);
+        }
+        c.push(1_000_000);
+        assert_eq!(c.pop().time_ns, 1_000);
+        assert_eq!(c.q.depth, 2);
+        let child = &c.q.rungs[1];
+        assert_eq!((child.start, child.last, child.width), (1_000, 4_902, 16));
+        assert_eq!(c.q.drained_through, Some(1_015));
+        c
+    }
+
     #[test]
     fn pops_in_total_key_order() {
         let mut q = LadderQueue::new();
-        // Mixed placement: same-time burst (bottom/bucket 0), near-future
-        // (wheel), and far-future (overflow, forcing a re-anchor).
+        // Mixed placement: same-time burst, near future, and far future.
         let times = [5u64, 5, 5, 900, 2_500, 40_000_000, 40_000_000, 7];
         for (seq, t) in times.iter().enumerate() {
             q.push(key(*t, seq as u64));
@@ -349,14 +374,15 @@ mod tests {
     fn pushes_below_the_drain_point_sort_into_the_bottom() {
         let mut q = LadderQueue::new();
         q.push(key(10, 0));
-        q.push(key(500, 1));
-        assert_eq!(q.pop().unwrap().seq, 0); // spills bucket 0, drained past 500
-                                             // Same-instant follow-ups (the dense hot path) append; an earlier
-                                             // time lands before the pending tail.
+        q.push(key(10, 1));
         q.push(key(500, 2));
-        q.push(key(500, 3));
-        q.push(key(20, 4));
-        assert_eq!(drain(&mut q), vec![4, 1, 2, 3]);
+        assert_eq!(q.pop().unwrap().seq, 0); // spills the instant 10
+        assert_eq!(q.drained_through, Some(10));
+        // A same-instant follow-up (the dense hot path) appends; an earlier
+        // time lands before the pending head.
+        q.push(key(10, 3));
+        q.push(key(5, 4));
+        assert_eq!(drain(&mut q), vec![4, 1, 3, 2]);
     }
 
     #[test]
@@ -370,22 +396,12 @@ mod tests {
 
     #[test]
     fn interleaved_push_pop_keeps_order_against_a_model_heap() {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        let mut q = LadderQueue::new();
-        let mut model: BinaryHeap<Reverse<Key>> = BinaryHeap::new();
-        // Deterministic pseudo-random mix (xorshift64*), biased to pushes.
+        let mut c = Checked::new();
         let mut x = 0x9e3779b97f4a7c15u64;
-        let mut step = || {
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            x.wrapping_mul(0x2545F4914F6CDD1D)
-        };
         let mut now = 0u64;
-        for seq in 0..20_000u64 {
-            let r = step();
-            if r % 4 != 0 {
+        for _ in 0..20_000 {
+            let r = xorshift(&mut x);
+            if !r.is_multiple_of(4) {
                 // Push at now + a spread of gaps: 0 (ties), ns, µs, ms.
                 let gap = match r % 16 {
                     0..=7 => 0,
@@ -393,95 +409,204 @@ mod tests {
                     12..=14 => r % 1_000_000,
                     _ => r % 1_000_000_000,
                 };
-                let k = key(now + gap, seq);
-                q.push(k);
-                model.push(Reverse(k));
-            } else {
-                let got = q.pop();
-                let want = model.pop().map(|Reverse(k)| k);
-                assert_eq!(got, want);
-                if let Some(k) = got {
-                    now = k.time_ns;
-                }
+                c.push(now + gap);
+            } else if !c.model.is_empty() {
+                now = c.pop().time_ns;
             }
-            assert_eq!(q.len(), model.len());
         }
-        while let Some(Reverse(want)) = model.pop() {
-            assert_eq!(q.pop(), Some(want));
-        }
-        assert!(q.pop().is_none());
+        c.finish();
     }
 
     #[test]
-    fn dense_buckets_split_instead_of_flooding_the_bottom() {
-        // The near-time steady state that motivates splitting: thousands of
-        // events inside one initial-width bucket, popped and replenished at
-        // the head. Correctness: order must match the model heap exactly.
-        // (Performance is pinned by the kernel microbench, not here.)
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        let mut q = LadderQueue::new();
-        let mut model: BinaryHeap<Reverse<Key>> = BinaryHeap::new();
+    fn dense_buckets_spawn_child_rungs_instead_of_flooding_the_bottom() {
+        // The near-time steady state that motivates spawning: thousands of
+        // events inside one microsecond, popped and replenished at the
+        // head, with an occasional key a millisecond out so the rung stack
+        // keeps parents and children live at once.
+        let mut c = Checked::new();
         let mut x = 0xdeadbeefcafef00du64;
-        let mut step = || {
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            x.wrapping_mul(0x2545F4914F6CDD1D)
-        };
-        let mut now = 0u64;
-        let mut seq = 0u64;
-        // Prefill: 4000 events within one 1 µs bucket.
         for _ in 0..4_000 {
-            let k = key(now + step() % 1_000, seq);
-            seq += 1;
-            q.push(k);
-            model.push(Reverse(k));
+            c.push(xorshift(&mut x) % 1_000);
         }
-        // Steady near-time churn across the split-up wheel, with an
-        // occasional far-future key so splits must keep the wheel/overflow
-        // boundary exact.
+        let mut now = 0u64;
         for _ in 0..8_000 {
-            let r = step();
-            let gap = if r % 32 == 0 {
-                r % 1_000_000
-            } else {
-                r % 1_000
-            };
-            let k = key(now + gap, seq);
-            seq += 1;
-            q.push(k);
-            model.push(Reverse(k));
-            let got = q.pop();
-            let want = model.pop().map(|Reverse(k)| k);
-            assert_eq!(got, want);
-            now = got.unwrap().time_ns;
+            let r = xorshift(&mut x);
+            c.push(
+                now + if r.is_multiple_of(32) {
+                    r % 1_000_000
+                } else {
+                    r % 1_000
+                },
+            );
+            now = c.pop().time_ns;
+            assert!(c.q.bottom.len() - c.q.head <= SPLIT_SPILL + 1);
         }
-        while let Some(Reverse(want)) = model.pop() {
-            assert_eq!(q.pop(), Some(want));
-        }
-        assert!(q.pop().is_none());
+        c.finish();
     }
 
     #[test]
-    fn drain_and_rebuild_round_trip() {
-        let mut q = LadderQueue::new();
-        for seq in 0..100u64 {
-            q.push(key(seq * 37 % 1_000_000, seq));
+    fn push_into_a_parent_bucket_while_a_child_is_live() {
+        let mut c = with_live_child();
+        c.push(500_000);
+        c.push(4_903);
+        c.push(1_050);
+        // Past the child's range the key belongs to its parent's later
+        // buckets, not to the child.
+        assert_eq!(c.q.rungs[0].buckets[127].len(), 1);
+        assert_eq!(c.q.rungs[0].buckets[1].len(), 1);
+        assert_eq!(c.q.rungs[1].buckets[3].len(), 17); // 1_048..=1_063 and 1_050
+        c.finish();
+    }
+
+    #[test]
+    fn a_key_at_a_child_rungs_last_instant_stays_in_the_child() {
+        let mut c = with_live_child();
+        c.push(4_902); // the child's last instant: its bucket 243
+        c.push(4_903); // one past: the parent's bucket 1
+        assert_eq!(c.q.rungs[1].buckets[243].len(), 1);
+        assert_eq!(c.q.rungs[0].buckets[1].len(), 1);
+        while c.pop().time_ns != 4_902 {}
+        // The drain point stops at the child's end, so a second key at
+        // 4 903 queues behind the first one in the parent instead of
+        // jumping ahead through the bottom.
+        assert_eq!(c.q.drained_through, Some(4_902));
+        c.push(4_903);
+        assert_eq!(c.q.rungs[0].buckets[1].len(), 2);
+        c.finish();
+    }
+
+    #[test]
+    fn a_child_of_a_clipped_last_bucket_ends_where_its_parent_does() {
+        // The top rung [0, 10_219] has 40 ns buckets; bucket 255 would run
+        // to 10 239 but the rung ends at 10 219, and so must its child.
+        let mut c = Checked::new();
+        c.push(0);
+        for t in 10_200..=10_219 {
+            c.push(t);
         }
-        let _ = q.pop();
+        assert_eq!(c.pop().time_ns, 0);
+        c.push(10_225); // beyond the top rung: overflow
+        assert_eq!(c.pop().time_ns, 10_200);
+        assert_eq!((c.q.rungs[1].start, c.q.rungs[1].last), (10_200, 10_219));
+        c.push(10_230); // must queue behind 10 225 in the overflow
+        assert_eq!(c.q.overflow.len(), 2);
+        c.finish();
+    }
+
+    #[test]
+    fn push_below_the_drain_point_after_a_child_is_used_up() {
+        let mut c = with_live_child();
+        for _ in 1_001..1_100 {
+            c.pop();
+        }
+        assert_eq!(c.q.depth, 2, "the used-up child is popped lazily");
+        c.push(700_000);
+        assert_eq!(c.pop().time_ns, 700_000);
+        assert_eq!(c.q.depth, 1);
+        assert_eq!(c.q.drained_through, Some(700_000));
+        c.push(600_000);
+        c.push(700_000);
+        c.push(2_000);
+        assert_eq!(c.q.bottom.len() - c.q.head, 3);
+        // Parent bucket 179 spilled up to 700 000 and stays open above it.
+        c.push(700_001);
+        assert_eq!(
+            (c.q.rungs[0].cur, c.q.rungs[0].buckets[179].len()),
+            (179, 1)
+        );
+        c.push(2_000_000); // beyond the top rung: overflow
+        assert_eq!(c.q.overflow.len(), 1);
+        c.finish();
+    }
+
+    #[test]
+    fn an_open_bucket_spawns_a_child_once_it_refills() {
+        let mut c = Checked::new();
+        c.push(1_000);
+        c.push(1_000_000);
+        assert_eq!(c.pop().time_ns, 1_000); // spills bucket 0 of [1_000, 4_902]
+        assert_eq!((c.q.rungs[0].cur, c.q.drained_through), (0, Some(1_000)));
+        for t in 1_001..=1_020 {
+            c.push(t);
+        }
+        c.push(2_000);
+        assert_eq!(c.q.rungs[0].buckets[0].len(), 21);
+        assert_eq!(c.pop().time_ns, 1_001);
+        let child = &c.q.rungs[1];
+        assert_eq!((child.start, child.last, child.width), (1_000, 4_902, 16));
+        c.push(1_001); // below the drain point again: the bottom
+        c.push(4_903); // the parent's bucket 1
+        c.finish();
+    }
+
+    #[test]
+    fn drain_and_rebuild_with_a_live_child_rung() {
+        let mut c = with_live_child();
+        c.push(4_903);
+        c.push(3_000_000);
         let mut keys = Vec::new();
-        q.drain_into(&mut keys);
-        assert_eq!(keys.len(), 99);
-        assert_eq!(q.len(), 0);
-        keys.retain(|k| k.seq % 2 == 0);
-        let expect = keys.len();
-        q.rebuild(keys);
-        assert_eq!(q.len(), expect);
-        let mut last = None;
-        while let Some(k) = q.pop() {
-            assert!(last.is_none_or(|l| l <= k), "order after rebuild");
-            last = Some(k);
+        c.q.drain_into(&mut keys);
+        assert_eq!(keys.len(), c.model.len());
+        assert_eq!(c.q.len(), 0);
+        keys.retain(|k| k.seq % 3 != 0);
+        c.model.retain(|Reverse(k)| k.seq % 3 != 0);
+        c.q.rebuild(keys);
+        assert_eq!(c.q.depth, 2, "a rebuild keeps the live child");
+        c.push(1_050);
+        c.finish();
+    }
+
+    #[test]
+    fn max_times_with_width_one_rungs() {
+        let mut c = Checked::new();
+        c.push(0);
+        c.push(1 << 40);
+        // The top rung spans [0, u64::MAX]; the dense tail spawns children
+        // down to width 1, and the 102-key group at u64::MAX spills as one.
+        for t in u64::MAX - 99..=u64::MAX {
+            c.push(t);
+            c.push(t);
         }
+        for _ in 0..100 {
+            c.push(u64::MAX);
+        }
+        assert_eq!(c.pop().time_ns, 0);
+        assert_eq!(c.pop().time_ns, 1 << 40);
+        assert_eq!(c.pop().time_ns, u64::MAX - 99);
+        assert_eq!(c.q.rungs[c.q.depth - 1].width, 1);
+        let mut x = 7u64;
+        while c.pop().time_ns < u64::MAX {
+            if xorshift(&mut x).is_multiple_of(2) {
+                c.push(u64::MAX);
+            }
+        }
+        assert_eq!(c.q.drained_through, Some(u64::MAX));
+        c.push(u64::MAX);
+        c.push(u64::MAX - 1);
+        c.finish();
+    }
+
+    #[test]
+    fn moves_per_push_stay_constant_over_a_long_horizon() {
+        // The 10⁵-rank ring's shape: ~16 k pending keys in small
+        // same-instant groups over 49 s (4 096 instants 12 ms apart),
+        // churned pop-one/push-one. A single calendar re-anchored at the
+        // overflow minimum re-scans most of the population on every lap.
+        let mut q = LadderQueue::new();
+        let mut x = 0x5EED_0003u64;
+        let mut now = 0u64;
+        let pushes = 100_000u64;
+        for seq in 0..pushes {
+            let gap = (xorshift(&mut x) % 4_096) * 12_000_000;
+            q.push(key(now + gap, seq));
+            if seq >= 16_384 {
+                now = q.pop().expect("non-empty").time_ns;
+            }
+        }
+        assert!(
+            q.replaced <= 8 * pushes,
+            "{:.1} keys moved per push",
+            q.replaced as f64 / pushes as f64
+        );
     }
 }

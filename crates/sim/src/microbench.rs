@@ -10,10 +10,11 @@
 use crate::event::{EventId, EventKind, EventQueue};
 use crate::time::SimTime;
 
-/// Event-time density profile of a drive run. The three profiles bracket the
+/// Event-time density profile of a drive run. The profiles bracket the
 /// kernel's real workloads: coordinated-checkpoint marker storms put
 /// thousands of events at one instant, chunked flows cluster within
-/// microseconds, and timers/retries scatter across seconds.
+/// microseconds, timers/retries scatter across seconds, and a 10⁵-rank
+/// ring keeps small same-instant groups pending across its whole run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Density {
     /// Dense same-instant bursts: every event lands at the current time.
@@ -22,11 +23,19 @@ pub enum Density {
     NearTime,
     /// Wide spread: gaps up to two simulated seconds.
     WideSpread,
+    /// Long horizon: 4 096 instants 12 ms apart, spanning 49 simulated
+    /// seconds, so the steady population sits in small same-instant groups.
+    Horizon,
 }
 
 impl Density {
     /// All profiles, in reporting order.
-    pub const ALL: [Density; 3] = [Density::SameTime, Density::NearTime, Density::WideSpread];
+    pub const ALL: [Density; 4] = [
+        Density::SameTime,
+        Density::NearTime,
+        Density::WideSpread,
+        Density::Horizon,
+    ];
 
     /// Short machine-readable name (used as the JSON key in
     /// `BENCH_kernel.json`).
@@ -35,6 +44,7 @@ impl Density {
             Density::SameTime => "same_time",
             Density::NearTime => "near_time",
             Density::WideSpread => "wide_spread",
+            Density::Horizon => "horizon",
         }
     }
 
@@ -45,6 +55,7 @@ impl Density {
             Density::SameTime => 0,
             Density::NearTime => r % 1_000,
             Density::WideSpread => r % 2_000_000_000,
+            Density::Horizon => (r % 4_096) * 12_000_000,
         }
     }
 }
