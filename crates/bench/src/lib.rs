@@ -355,6 +355,8 @@ pub fn figure_probe_specs(fast: bool) -> Vec<(String, JobSpec)> {
             ),
             if fast { 0.25 } else { 30.0 },
         );
+        // CG.A on 8 ranks finishes in under 3 simulated seconds, so the
+        // full probe's period must be short enough to commit waves in it.
         push(
             format!("cg.{cls}.{cg_n}.gige.{p}"),
             cluster_spec(
@@ -362,9 +364,9 @@ pub fn figure_probe_specs(fast: bool) -> Vec<(String, JobSpec)> {
                 cg_n,
                 proto,
                 2,
-                SimDuration::from_secs_f64(if fast { 0.1 } else { 10.0 }),
+                SimDuration::from_secs_f64(if fast { 0.1 } else { 1.0 }),
             ),
-            if fast { 0.1 } else { 10.0 },
+            if fast { 0.1 } else { 1.0 },
         );
         // §5.3 Myrinet with the protocol's natural stack (figure 7).
         let stack = match proto {

@@ -38,11 +38,12 @@
 //! (memoized states are not re-expanded), which is exactly the
 //! partial-order-reduction bargain.
 //!
-//! The explorer doubles as a backend-equivalence proof: exploration pops
-//! every same-instant candidate out of the queue and pushes the losers
-//! back ([`EventQueue::unpop`](ftmpi_sim::EventQueue)), exercising the
-//! ladder's push-below-drained-minimum path on every decision. Running
-//! the same config under both backends must visit the same states.
+//! Exploration pops every same-instant candidate out of the queue and
+//! pushes the losers back, exercising the ladder's push-below-drained-
+//! minimum path on every decision; the state counts of the clean configs
+//! are pinned as literals (`tests/explore.rs`, `tests/golden.rs`), captured
+//! while a binary-heap queue backend still ran beside the ladder and both
+//! visited exactly these states.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -85,9 +86,6 @@ impl ExploreConfig {
 
 /// Exploration budget and mode.
 pub struct ExploreOptions {
-    /// Force the queue backend (`Some(true)` = ladder); `None` keeps the
-    /// environment default.
-    pub ladder: Option<bool>,
     /// Abort (non-exhausted) after this many complete runs.
     pub max_runs: u64,
     /// Minimize violating schedules before reporting.
@@ -99,7 +97,6 @@ pub struct ExploreOptions {
 impl Default for ExploreOptions {
     fn default() -> ExploreOptions {
         ExploreOptions {
-            ladder: None,
             max_runs: 4000,
             shrink: true,
             artifact_dir: None,
@@ -160,14 +157,12 @@ struct RunOutcome {
 fn run_one(
     cfg: &ExploreConfig,
     spec: &JobSpec,
-    opts: &ExploreOptions,
     prescription: Vec<usize>,
 ) -> Result<RunOutcome, JobError> {
     let run_opts = RunOptions {
         trace: true,
         tiebreak_seed: None,
         schedule: Some(prescription.clone()),
-        ladder: opts.ladder,
         race_fixture: cfg.fixture,
     };
     match run_job_explored(spec.clone(), run_opts) {
@@ -255,7 +250,7 @@ pub fn explore(cfg: &ExploreConfig, opts: &ExploreOptions) -> Result<ExploreOutc
             frontier.clear();
             break;
         }
-        let run = run_one(cfg, &spec, opts, prescription.clone())?;
+        let run = run_one(cfg, &spec, prescription.clone())?;
         outcome.runs += 1;
         outcome.max_decisions = outcome.max_decisions.max(run.log.decisions.len());
         let canonical = *canonical_fp.get_or_insert(run.fp);
@@ -268,21 +263,14 @@ pub fn explore(cfg: &ExploreConfig, opts: &ExploreOptions) -> Result<ExploreOutc
             .or_else(|| (run.fp != canonical).then(|| "divergence".to_string()));
         if let Some(kind) = kind {
             let minimized = if opts.shrink {
-                shrink(
-                    cfg,
-                    &spec,
-                    opts,
-                    canonical,
-                    &mut outcome.runs,
-                    &prescription,
-                )
+                shrink(cfg, &spec, canonical, &mut outcome.runs, &prescription)
             } else {
                 prescription.clone()
             };
             let artifact = opts
                 .artifact_dir
                 .as_ref()
-                .map(|dir| write_artifact(dir, cfg, opts, &minimized, &kind, canonical, run.fp));
+                .map(|dir| write_artifact(dir, cfg, &minimized, &kind, canonical, run.fp));
             outcome.violation = Some(ViolationReport {
                 schedule: prescription,
                 minimized,
@@ -344,13 +332,12 @@ pub fn explore(cfg: &ExploreConfig, opts: &ExploreOptions) -> Result<ExploreOutc
 fn violates(
     cfg: &ExploreConfig,
     spec: &JobSpec,
-    opts: &ExploreOptions,
     canonical: u64,
     runs: &mut u64,
     prescription: &[usize],
 ) -> bool {
     *runs += 1;
-    match run_one(cfg, spec, opts, prescription.to_vec()) {
+    match run_one(cfg, spec, prescription.to_vec()) {
         Ok(r) => r.broken.is_some() || r.fp != canonical,
         Err(_) => false,
     }
@@ -362,7 +349,6 @@ fn violates(
 fn shrink(
     cfg: &ExploreConfig,
     spec: &JobSpec,
-    opts: &ExploreOptions,
     canonical: u64,
     runs: &mut u64,
     schedule: &[usize],
@@ -376,7 +362,7 @@ fn shrink(
             }
             let mut cand = best.clone();
             cand[i] = 0;
-            if violates(cfg, spec, opts, canonical, runs, &cand) {
+            if violates(cfg, spec, canonical, runs, &cand) {
                 best = cand;
                 improved = true;
             }
@@ -392,21 +378,15 @@ fn shrink(
 }
 
 /// Serialize a reproducer (see [`parse_artifact`] for the format) into
-/// `dir/<config>.<backend>.repro`, creating the directory as needed.
+/// `dir/<config>.default.repro`, creating the directory as needed.
 fn write_artifact(
     dir: &Path,
     cfg: &ExploreConfig,
-    opts: &ExploreOptions,
     minimized: &[usize],
     kind: &str,
     canonical_fp: u64,
     observed_fp: u64,
 ) -> PathBuf {
-    let backend = match opts.ladder {
-        None => "default",
-        Some(true) => "ladder",
-        Some(false) => "heap",
-    };
     let schedule = minimized
         .iter()
         .map(|c| c.to_string())
@@ -415,7 +395,6 @@ fn write_artifact(
     let text = format!(
         "# ftmpi-check explore reproducer\n\
          config={}\n\
-         backend={backend}\n\
          schedule={schedule}\n\
          kind={kind}\n\
          canonical_fp={canonical_fp:016x}\n\
@@ -423,7 +402,7 @@ fn write_artifact(
         cfg.name
     );
     let _ = std::fs::create_dir_all(dir);
-    let path = dir.join(format!("{}.{backend}.repro", cfg.name));
+    let path = dir.join(format!("{}.default.repro", cfg.name));
     if let Err(e) = std::fs::write(&path, text) {
         eprintln!("warning: could not write {}: {e}", path.display());
     }
@@ -435,19 +414,17 @@ fn write_artifact(
 pub struct Repro {
     /// Config name (must match an [`explore_configs`] entry).
     pub config: String,
-    /// Queue backend the violation was found under.
-    pub ladder: Option<bool>,
     /// The minimized prescription.
     pub schedule: Vec<usize>,
     /// Violation kind at dump time.
     pub kind: String,
 }
 
-/// Parse a reproducer written by the explorer. Unknown keys and comment
-/// lines are ignored; missing mandatory keys are an error.
+/// Parse a reproducer written by the explorer. Unknown keys (including
+/// the `backend=` line older reproducers carry) and comment lines are
+/// ignored; missing mandatory keys are an error.
 pub fn parse_artifact(text: &str) -> Result<Repro, String> {
     let mut config = None;
-    let mut ladder = None;
     let mut schedule = None;
     let mut kind = None;
     for line in text.lines() {
@@ -460,13 +437,6 @@ pub fn parse_artifact(text: &str) -> Result<Repro, String> {
         };
         match k {
             "config" => config = Some(v.to_string()),
-            "backend" => {
-                ladder = Some(match v {
-                    "ladder" => Some(true),
-                    "heap" => Some(false),
-                    _ => None,
-                })
-            }
             "schedule" => {
                 let parsed: Result<Vec<usize>, _> = if v.is_empty() {
                     Ok(Vec::new())
@@ -481,7 +451,6 @@ pub fn parse_artifact(text: &str) -> Result<Repro, String> {
     }
     Ok(Repro {
         config: config.ok_or("missing config=")?,
-        ladder: ladder.ok_or("missing backend=")?,
         schedule: schedule.ok_or("missing schedule=")?,
         kind: kind.ok_or("missing kind=")?,
     })
@@ -493,16 +462,12 @@ pub fn replay(repro: &Repro) -> Result<Option<String>, String> {
         .into_iter()
         .find(|c| c.name == repro.config)
         .ok_or_else(|| format!("unknown explore config `{}`", repro.config))?;
-    let opts = ExploreOptions {
-        ladder: repro.ladder,
-        ..ExploreOptions::default()
-    };
     let spec = cfg.spec().map_err(|e| e.to_string())?;
-    let canonical = run_one(&cfg, &spec, &opts, Vec::new()).map_err(|e| e.to_string())?;
+    let canonical = run_one(&cfg, &spec, Vec::new()).map_err(|e| e.to_string())?;
     if let Some(kind) = canonical.broken {
         return Ok(Some(format!("canonical run itself violates: {kind}")));
     }
-    let run = run_one(&cfg, &spec, &opts, repro.schedule.clone()).map_err(|e| e.to_string())?;
+    let run = run_one(&cfg, &spec, repro.schedule.clone()).map_err(|e| e.to_string())?;
     Ok(run
         .broken
         .or_else(|| (run.fp != canonical.fp).then(|| "divergence".to_string())))
@@ -617,7 +582,7 @@ fn tuned_laneless_spec() -> Result<JobSpec, JobError> {
 }
 
 /// Every explorable config: the two clean 3-rank jobs (expected to
-/// exhaust without violations, under both backends) and the two
+/// exhaust without violations) and the two
 /// historical-race fixtures (expected to violate, minimally).
 pub fn explore_configs() -> Vec<ExploreConfig> {
     vec![
@@ -656,34 +621,6 @@ pub fn explore_configs() -> Vec<ExploreConfig> {
     ]
 }
 
-/// Explore a clean config under both queue backends and check they agree
-/// state-for-state: same run count, same prune/memo counts, same
-/// fingerprint set. Returns the two outcomes (heap, ladder).
-pub fn differential(
-    cfg: &ExploreConfig,
-    base: &ExploreOptions,
-) -> Result<(ExploreOutcome, ExploreOutcome), JobError> {
-    let heap = explore(
-        cfg,
-        &ExploreOptions {
-            ladder: Some(false),
-            max_runs: base.max_runs,
-            shrink: base.shrink,
-            artifact_dir: base.artifact_dir.clone(),
-        },
-    )?;
-    let ladder = explore(
-        cfg,
-        &ExploreOptions {
-            ladder: Some(true),
-            max_runs: base.max_runs,
-            shrink: base.shrink,
-            artifact_dir: base.artifact_dir.clone(),
-        },
-    )?;
-    Ok((heap, ladder))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -702,13 +639,12 @@ mod tests {
             r,
             Repro {
                 config: "pcl3.ring".into(),
-                ladder: Some(true),
                 schedule: vec![2, 0, 1],
                 kind: "divergence".into(),
             }
         );
         assert_eq!(
-            parse_artifact("config=x\nbackend=default\nschedule=\nkind=k\n")
+            parse_artifact("config=x\nschedule=\nkind=k\n")
                 .expect("empty schedule")
                 .schedule,
             Vec::<usize>::new()

@@ -49,7 +49,7 @@ pub mod storm;
 pub mod suite;
 
 pub use explore::{
-    differential, explore, explore_configs, parse_artifact, replay, ExploreConfig, ExploreOptions,
+    explore, explore_configs, parse_artifact, replay, ExploreConfig, ExploreOptions,
     ExploreOutcome, Repro, ViolationReport,
 };
 pub use fingerprint::{fnv1a, trace_fingerprint};

@@ -1,6 +1,6 @@
 //! Hand-rolled workspace lint (no external dependencies, no syn).
 //!
-//! Seven rules guard the determinism contract of the simulation and the
+//! Eight rules guard the determinism contract of the simulation and the
 //! shape of the protocol code:
 //!
 //! * `wallclock-in-sim` — no `std::time::Instant` / `SystemTime` in the
@@ -24,11 +24,11 @@
 //!   whose lane argument is not `None`), so no event class can silently
 //!   reorder under the race detector's perturbation seeds. The same rule
 //!   pins tiekey *derivation* to `event.rs`: no other sim-crate source may
-//!   mention `splitmix64`, so the queue backends (ladder rungs, heap) can
-//!   only order keys they were handed, never re-derive lane→tiekey
-//!   mappings of their own. A second cross-file half confines the event
-//!   *push path*: `Key { .. }` construction, `arena.insert(`, and
-//!   `backend.push(` may appear only in `event.rs` (plus the defining
+//!   mention `splitmix64`, so the ladder can only order keys it was
+//!   handed, never re-derive lane→tiekey mappings of its own. A second
+//!   cross-file half confines the event *push path*: `Key { .. }`
+//!   construction, `arena.insert(`, and `ladder.push(` may appear only in
+//!   `event.rs` (plus the defining
 //!   modules' own files), so neither the ladder nor any caller can mint
 //!   keys or slots that bypass the lane bookkeeping the schedule
 //!   explorer replays against.
@@ -42,6 +42,13 @@
 //!   and no `.unwrap()` outside its test module: the slab recycles slots
 //!   and the ladder re-buckets keys, and both must fail loudly with
 //!   `expect` invariant messages, never via unchecked access.
+//! * `single-thread` — no `parking_lot`, `Mutex`, `Atomic*` or `+ Send`
+//!   in `crates/{sim,mpi,core}/src`. The kernel runs one coroutine or
+//!   closure at a time on one thread, so model state is shared through
+//!   `Rc`/`RefCell`/`Cell`; a lock or a `Send` bound there is cost with no
+//!   concurrency to pay for it. The one sanctioned exception, the
+//!   `Send + Sync` application closure that job descriptions carry across
+//!   the sweep runner's threads, is marked with the escape hatch.
 //!
 //! Escape hatch: a `lint:allow(<rule>)` comment on the offending line or
 //! the line above suppresses the finding.
@@ -65,15 +72,23 @@ pub const RULE_LANE_AUDIT: &str = "lane-audit";
 pub const RULE_ENV_REGISTRY: &str = "env-registry";
 /// Rule id: `unsafe` / bare `unwrap` in the kernel memory machinery.
 pub const RULE_SIM_AUDIT: &str = "sim-audit";
+/// Rule id: thread-safety machinery in the single-threaded crates.
+pub const RULE_SINGLE_THREAD: &str = "single-thread";
 
 /// Crates whose `src/` must not read the wall clock.
 const WALLCLOCK_CRATES: &[&str] = &["sim", "net", "mpi", "core", "nas"];
+
+/// Crates whose `src/` must stay free of thread-safety machinery.
+const SINGLE_THREAD_CRATES: &[&str] = &["sim", "mpi", "core"];
+
+/// What the `single-thread` rule looks for (substrings of scrubbed lines,
+/// so `AtomicBool`, `StdMutex` and `+ Send + Sync` all match).
+const THREAD_SAFETY_NEEDLES: &[&str] = &["parking_lot", "Mutex", "Atomic", "+ Send"];
 
 /// The declared environment-toggle registry: the complete set of `FTMPI_*`
 /// variables the workspace may read. Every entry must also appear in the
 /// README's toggle table (checked by [`env_registry_hits`]).
 pub const ENV_TOGGLES: &[&str] = &[
-    "FTMPI_NO_LADDER",
     "FTMPI_NO_BATCH",
     "FTMPI_NO_CACHE",
     "FTMPI_DEBUG",
@@ -207,6 +222,9 @@ pub fn lint_source(relpath: &str, text: &str) -> Vec<LintHit> {
     let in_wallclock_scope = WALLCLOCK_CRATES
         .iter()
         .any(|c| norm.starts_with(&format!("crates/{c}/src/")));
+    let in_single_thread_scope = SINGLE_THREAD_CRATES
+        .iter()
+        .any(|c| norm.starts_with(&format!("crates/{c}/src/")));
     let in_core_src = norm.starts_with("crates/core/src/");
     let downcast_scope = in_core_src && norm != "crates/core/src/engine.rs";
     let in_sim_audit = SIM_AUDIT_FILES.contains(&norm.as_str());
@@ -248,6 +266,20 @@ pub fn lint_source(relpath: &str, text: &str) -> Vec<LintHit> {
                     });
                     break;
                 }
+            }
+        }
+        if in_single_thread_scope && !allowed(&lines, i, RULE_SINGLE_THREAD) {
+            if let Some(needle) = THREAD_SAFETY_NEEDLES.iter().find(|n| s.contains(*n)) {
+                hits.push(LintHit {
+                    file: norm.clone(),
+                    line: lineno,
+                    rule: RULE_SINGLE_THREAD,
+                    msg: format!(
+                        "`{needle}` in a single-threaded crate: share state \
+                         through `Rc`/`RefCell`/`Cell`, not locks, atomics or \
+                         `Send` bounds"
+                    ),
+                });
             }
         }
         if in_core_src && s.contains(".unwrap()") && !allowed(&lines, i, RULE_CORE_UNWRAP) {
@@ -567,7 +599,7 @@ pub fn lane_audit_sources(sources: &[(String, String)]) -> Vec<LintHit> {
 
 /// Third half of the lane audit: the event *push path* is confined.
 /// `Key { .. }` construction, `arena.insert(` (slot allocation), and
-/// `backend.push(` (queue entry) may appear only in `event.rs` — plus the
+/// `ladder.push(` (queue entry) may appear only in `event.rs` — plus the
 /// defining module's own file (`ladder.rs` owns `Key`, `arena.rs` owns the
 /// slab), whose internals and tests legitimately touch their own type.
 /// Everything else must go through `EventQueue::push`, which records the
@@ -588,9 +620,9 @@ fn push_confinement(sources: &[(String, String)]) -> Vec<LintHit> {
              leaks and is invisible to exploration",
         ),
         (
-            "backend.push(",
+            "ladder.push(",
             &["src/event.rs"],
-            "raw backend push outside the queue: bypasses lane bookkeeping \
+            "raw ladder push outside the queue: bypasses lane bookkeeping \
              (use `EventQueue::push` / `unpop`)",
         ),
         (
@@ -651,9 +683,9 @@ fn contains_word_prefix(line: &str, word: &str, needle: &str) -> bool {
 
 /// Second half of the lane audit: the lane→tiekey derivation (the
 /// `splitmix64` mixer) must live in `event.rs` and nowhere else in the sim
-/// crate. The queue backends order the keys they are handed; a backend (or
-/// any other module) deriving its own tiekey would silently fork the
-/// ordering contract between the ladder and heap push paths.
+/// crate. The ladder orders the keys it is handed; the ladder (or any other
+/// module) deriving its own tiekey would silently fork the ordering
+/// contract of the push path.
 fn tiekey_confinement(sources: &[(String, String)]) -> Vec<LintHit> {
     let mut hits = Vec::new();
     for (path, text) in sources {
@@ -678,7 +710,7 @@ fn tiekey_confinement(sources: &[(String, String)]) -> Vec<LintHit> {
                     line: i + 1,
                     rule: RULE_LANE_AUDIT,
                     msg: "tiekey derivation (`splitmix64`) outside event.rs: \
-                          queue backends must order keys, not derive them"
+                          the queue must order keys, not derive them"
                         .to_string(),
                 });
             }
@@ -910,7 +942,7 @@ pub(crate) enum EventKind {
         );
         // The owning files may construct keys, insert slots, and push raw.
         srcs[0].1.push_str(
-            "let k = Key { time, tiekey, slot };\nself.arena.insert(ev);\nself.backend.push(k);\n",
+            "let k = Key { time, tiekey, slot };\nself.arena.insert(ev);\nself.ladder.push(k);\n",
         );
         srcs.push((
             "crates/sim/src/ladder.rs".into(),
@@ -930,8 +962,8 @@ pub(crate) enum EventKind {
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert_eq!(hits[0].rule, RULE_LANE_AUDIT);
         assert_eq!(hits[0].file, "crates/sim/src/kernel2.rs");
-        // ...as are raw arena inserts and backend pushes elsewhere.
-        srcs.last_mut().unwrap().1 = "self.arena.insert(ev);\nbackend.push(k);\n".into();
+        // ...as are raw arena inserts and ladder pushes elsewhere.
+        srcs.last_mut().unwrap().1 = "self.arena.insert(ev);\nladder.push(k);\n".into();
         let hits = lane_audit_sources(&srcs);
         assert_eq!(hits.len(), 2, "{hits:?}");
         // Longer identifiers, comments, and the escape hatch don't trip it.
@@ -1015,6 +1047,35 @@ pub(crate) enum EventKind {
         assert!(lint_source("crates/sim/src/arena.rs", benign).is_empty());
         let escaped = "// lint:allow(sim-audit)\nlet x = y.unwrap();\n";
         assert!(lint_source("crates/sim/src/arena.rs", escaped).is_empty());
+    }
+
+    #[test]
+    fn single_thread_rule_flags_locks_atomics_and_send_bounds() {
+        for src in [
+            "use parking_lot::Mutex;\n",
+            "state: std::sync::Mutex<KernelState>,\n",
+            "trace_on: AtomicBool,\n",
+            "type CoroFuture = Pin<Box<dyn Future<Output = ()> + Send>>;\n",
+        ] {
+            for file in [
+                "crates/sim/src/kernel.rs",
+                "crates/mpi/src/world.rs",
+                "crates/core/src/flow.rs",
+            ] {
+                let hits = lint_source(file, src);
+                assert_eq!(hits.len(), 1, "{file}: {src:?} → {hits:?}");
+                assert_eq!(hits[0].rule, RULE_SINGLE_THREAD);
+            }
+            // The harness crates run worker pools and may lock.
+            assert!(lint_source("crates/bench/src/sweep.rs", src).is_empty());
+            assert!(lint_source("crates/sim/tests/kernel.rs", src).is_empty());
+        }
+        // Comments, strings, single-threaded cells and the escape hatch
+        // are fine.
+        let benign = "// no Mutex here\nlet s = \"+ Send\";\n\
+             state: RefCell<KernelState>,\nenum E { Send, MarkerSend }\n\
+             // lint:allow(single-thread)\npub type AppFn = Arc<dyn Fn() + Send + Sync>;\n";
+        assert!(lint_source("crates/mpi/src/world.rs", benign).is_empty());
     }
 
     #[test]

@@ -26,9 +26,8 @@
 //!   checker with churn variants. `--full` uses the paper-sized classes.
 //! * `explore [--smoke] [--replay FILE]` — exhaustively enumerate the
 //!   schedule space of the small explore configs (DPOR over the kernel's
-//!   schedule-policy hook). Clean configs must exhaust without violations
-//!   under **both** queue backends with identical state counts; the two
-//!   historical-race fixtures must be rediscovered with minimized
+//!   schedule-policy hook). Clean configs must exhaust without violations;
+//!   the two historical-race fixtures must be rediscovered with minimized
 //!   reproducers (dumped under `results/explore/`). Emits
 //!   `BENCH_explore.json`. `--replay FILE` re-runs one reproducer.
 
@@ -37,9 +36,9 @@ use std::process::ExitCode;
 
 use ftmpi_bench::json::{to_string_pretty, JsonObject, JsonValue};
 use ftmpi_check::{
-    differential, encode_artifact, explore, explore_configs, figure_smoke_probes, figures_suite,
-    mine, parse_artifact, perturbation_check, replay, run_checked_with_churn, run_lint,
-    smoke_probes, storm_campaign, ExploreOptions, ExploreOutcome, MineOptions, ProbeOutcome,
+    encode_artifact, explore, explore_configs, figure_smoke_probes, figures_suite, mine,
+    parse_artifact, perturbation_check, replay, run_checked_with_churn, run_lint, smoke_probes,
+    storm_campaign, ExploreOptions, ExploreOutcome, MineOptions, ProbeOutcome,
 };
 
 fn workspace_root() -> PathBuf {
@@ -452,31 +451,20 @@ fn cmd_explore(smoke: bool) -> ExitCode {
                 }
             }
         } else {
-            // Clean configs: exhaust without violation, and the two queue
-            // backends must agree state-for-state.
-            match differential(&cfg, &opts) {
-                Ok((heap, ladder)) => {
-                    print_explore(&heap, "heap");
-                    print_explore(&ladder, "ladder");
-                    if heap.violation.is_some() || ladder.violation.is_some() {
+            // Clean configs: exhaust without violation. The `ladder` label
+            // keeps the report lines, and their pinned digest, stable.
+            match explore(&cfg, &opts) {
+                Ok(o) => {
+                    print_explore(&o, "ladder");
+                    if o.violation.is_some() {
                         println!("    FAIL: clean config violated");
                         failed = true;
                     }
-                    if !heap.exhausted || !ladder.exhausted {
+                    if !o.exhausted {
                         println!("    FAIL: clean config not exhausted within {max_runs} runs");
                         failed = true;
                     }
-                    if heap.runs != ladder.runs
-                        || heap.canonical_fp != ladder.canonical_fp
-                        || heap.distinct_outcomes != ladder.distinct_outcomes
-                        || heap.pruned != ladder.pruned
-                        || heap.deduped != ladder.deduped
-                    {
-                        println!("    FAIL: backends disagree (heap vs ladder)");
-                        failed = true;
-                    }
-                    records.push(explore_record(&heap, "heap"));
-                    records.push(explore_record(&ladder, "ladder"));
+                    records.push(explore_record(&o, "ladder"));
                 }
                 Err(e) => {
                     println!("explore.{:26} error: {e}", cfg.name);

@@ -323,7 +323,7 @@ impl Coordinated {
             let Some(world) = handle.upgrade() else {
                 return;
             };
-            let mut w = world.lock();
+            let mut w = world.borrow_mut();
             if w.rt.epoch != epoch || w.rt.job_complete() {
                 return;
             }

@@ -10,9 +10,9 @@
 //! at the slower of the two.
 //!
 //! All entry points take the runtime of a world the caller already holds
-//! locked (the lock is not reentrant): starting a stream only reserves and
-//! schedules. Later chunks re-acquire the lock from their scheduled events
-//! and hand the whole world to the completion hooks.
+//! borrowed (the `RefCell` borrow is not reentrant): starting a stream only
+//! reserves and schedules. Later chunks borrow the world again from their
+//! scheduled events and hand the whole world to the completion hooks.
 //!
 //! ## Network faults
 //!
@@ -49,9 +49,9 @@ pub struct FlowSpec {
     pub also_disk: bool,
 }
 
-type DoneFn = Box<dyn FnOnce(&mut World, &SimCtx, SimTime) + Send>;
-type FailFn = Box<dyn FnOnce(&mut World, &SimCtx) + Send>;
-type ArrivalFn = Box<dyn FnOnce(&mut World, &SimCtx) + Send>;
+type DoneFn = Box<dyn FnOnce(&mut World, &SimCtx, SimTime)>;
+type FailFn = Box<dyn FnOnce(&mut World, &SimCtx)>;
+type ArrivalFn = Box<dyn FnOnce(&mut World, &SimCtx)>;
 
 /// `false` when `FTMPI_NO_BATCH` is set: flow transfers schedule one event
 /// per chunk instead of coalescing contention-free chunk runs. Batching only
@@ -144,7 +144,7 @@ pub fn start_flow(
     rt: &mut RuntimeCore,
     sc: &SimCtx,
     spec: FlowSpec,
-    on_done: impl FnOnce(&mut World, &SimCtx, SimTime) + Send + 'static,
+    on_done: impl FnOnce(&mut World, &SimCtx, SimTime) + 'static,
 ) {
     start_flow_inner(rt, sc, spec, FlowRetry::PAUSE, None, Box::new(on_done));
 }
@@ -158,8 +158,8 @@ pub fn start_flow_guarded(
     sc: &SimCtx,
     spec: FlowSpec,
     retry: FlowRetry,
-    on_fail: impl FnOnce(&mut World, &SimCtx) + Send + 'static,
-    on_done: impl FnOnce(&mut World, &SimCtx, SimTime) + Send + 'static,
+    on_fail: impl FnOnce(&mut World, &SimCtx) + 'static,
+    on_done: impl FnOnce(&mut World, &SimCtx, SimTime) + 'static,
 ) {
     start_flow_inner(
         rt,
@@ -200,7 +200,7 @@ fn start_flow_inner(
         let Some(strong) = handle.upgrade() else {
             return;
         };
-        let mut w = strong.lock();
+        let mut w = strong.borrow_mut();
         if w.rt.epoch != epoch {
             return; // the failure beat the stream's first byte
         }
@@ -250,7 +250,7 @@ fn advance_chunk(
             let Some(strong) = handle.upgrade() else {
                 return;
             };
-            let mut w = strong.lock();
+            let mut w = strong.borrow_mut();
             if w.rt.epoch != epoch {
                 return;
             }
@@ -338,7 +338,7 @@ fn advance_chunk(
         let Some(strong) = handle.upgrade() else {
             return;
         };
-        let mut w = strong.lock();
+        let mut w = strong.borrow_mut();
         if w.rt.epoch != epoch {
             return; // stream died with the failure
         }
@@ -361,7 +361,7 @@ pub fn send_control(
     dst: NodeId,
     bytes: u64,
     lane: Option<u64>,
-    on_arrival: impl FnOnce(&mut World, &SimCtx) + Send + 'static,
+    on_arrival: impl FnOnce(&mut World, &SimCtx) + 'static,
 ) {
     send_control_attempt(rt, sc, src, dst, bytes, lane, 0, Box::new(on_arrival));
 }
@@ -392,7 +392,7 @@ fn send_control_attempt(
             let Some(strong) = handle.upgrade() else {
                 return;
             };
-            let mut w = strong.lock();
+            let mut w = strong.borrow_mut();
             if w.rt.epoch != epoch {
                 return;
             }
@@ -414,7 +414,7 @@ fn send_control_attempt(
         let Some(strong) = handle.upgrade() else {
             return;
         };
-        let mut w = strong.lock();
+        let mut w = strong.borrow_mut();
         if w.rt.epoch != epoch {
             return;
         }

@@ -19,6 +19,9 @@
 //!   re-executed sends at the receivers. No orphans can exist because no
 //!   delivery precedes its log record.
 
+use std::cell::RefCell;
+use std::rc::Weak;
+
 use ftmpi_mpi::{
     spawn_rank, AppFn, AppMsg, ArrivalAction, Protocol, Rank, RankStatus, RuntimeCore, SendAction,
     World,
@@ -92,7 +95,7 @@ impl Mlog {
     /// Arm rank `r`'s next checkpoint at `at` (incarnation-guarded).
     fn schedule_rank_ckpt(
         sc: &SimCtx,
-        handle: std::sync::Weak<parking_lot::Mutex<World>>,
+        handle: Weak<RefCell<World>>,
         r: Rank,
         at: SimTime,
         incarnation: u64,
@@ -101,7 +104,7 @@ impl Mlog {
             let Some(world) = handle.upgrade() else {
                 return;
             };
-            let mut w = world.lock();
+            let mut w = world.borrow_mut();
             if w.rt.job_complete() || w.rt.ranks[r].incarnation != incarnation {
                 return;
             }
@@ -312,11 +315,11 @@ impl Mlog {
             let Some(world) = handle.upgrade() else {
                 return;
             };
-            if world.lock().rt.ranks[victim].incarnation != incarnation {
+            if world.borrow_mut().rt.ranks[victim].incarnation != incarnation {
                 return;
             }
             spawn_rank(sc, &world, victim, app);
-            let handle = world.lock().rt.world_handle();
+            let handle = world.borrow_mut().rt.world_handle();
             Mlog::schedule_rank_ckpt(sc, handle, victim, sc.now() + period, incarnation);
         });
     }
@@ -396,7 +399,7 @@ impl Protocol for Mlog {
             let Some(world) = handle.upgrade() else {
                 return;
             };
-            let mut w = world.lock();
+            let mut w = world.borrow_mut();
             if w.rt.epoch != epoch {
                 return;
             }

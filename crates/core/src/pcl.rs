@@ -183,7 +183,7 @@ impl Pcl {
             let h = handle.clone();
             sc.schedule_keyed(delivered, marker_lane(rt, s), move |sc| {
                 let Some(world) = h.upgrade() else { return };
-                let mut w = world.lock();
+                let mut w = world.borrow_mut();
                 if w.rt.epoch != epoch {
                     return;
                 }
@@ -297,7 +297,7 @@ impl Pcl {
             let Some(world) = handle.upgrade() else {
                 return;
             };
-            let mut w = world.lock();
+            let mut w = world.borrow_mut();
             if w.rt.epoch != epoch {
                 return;
             }

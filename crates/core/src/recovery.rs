@@ -32,7 +32,8 @@
 //!   fault retry with capped exponential backoff and fall back to the next
 //!   replica before giving up.
 
-use std::sync::{Arc, Mutex as StdMutex, Weak};
+use std::cell::RefCell;
+use std::rc::{Rc, Weak};
 
 use ftmpi_mpi::{spawn_rank, AppFn, AppMsg, RankStatus, RuntimeCore, World, WorldRef};
 use ftmpi_net::NodeId;
@@ -326,7 +327,7 @@ pub fn inject_kill_many(
     if victims.is_empty() {
         return;
     }
-    let mut w = world.lock();
+    let mut w = world.borrow_mut();
     let (engine, rt) = split(&mut w);
     if ft.detection_delay.is_zero() || !engine.heartbeat_detected() {
         engine.restart(rt, sc, app, victims, ft);
@@ -357,7 +358,7 @@ pub fn inject_kill_many(
         let Some(world) = handle.upgrade() else {
             return;
         };
-        let mut w = world.lock();
+        let mut w = world.borrow_mut();
         if w.rt.epoch != epoch {
             return; // a restart already revived the victims
         }
@@ -373,7 +374,7 @@ pub fn inject_kill_many(
 /// servers this way; for the others the call is a no-op, as is an
 /// out-of-range index or a kill after job completion.
 pub fn server_fail(sc: &SimCtx, world: &WorldRef, server_index: usize) {
-    let mut w = world.lock();
+    let mut w = world.borrow_mut();
     if w.rt.job_complete() {
         return;
     }
@@ -396,7 +397,7 @@ pub fn server_fail(sc: &SimCtx, world: &WorldRef, server_index: usize) {
 /// [`server_fail`]: an engine without servers, an out-of-range index, a
 /// completed job, or a server holding nothing to damage.
 pub fn corrupt_images(sc: &SimCtx, world: &WorldRef, server_index: usize, rank: Option<usize>) {
-    let mut w = world.lock();
+    let mut w = world.borrow_mut();
     if w.rt.job_complete() {
         return;
     }
@@ -524,8 +525,8 @@ pub(crate) fn kill_all<E: CheckpointEngine + ?Sized>(
                     if rt.net.reachable(data.image_source[r], node)
                         && rt.net.reachable(node, data.image_source[r])
                     {
-                        // The planner picked this source under the same
-                        // lock, digest-verified — record the consumption.
+                        // The planner picked this source within the same
+                        // borrow, digest-verified — record the consumption.
                         sc.trace_proto(ftmpi_sim::ProtoEvent::RestoreImage {
                             wave: rec.wave,
                             rank: r,
@@ -601,7 +602,7 @@ pub(crate) fn kill_all<E: CheckpointEngine + ?Sized>(
             co.arm_timer(rt, sc, latest_ready + ft.period);
         }
     } else {
-        let join = Arc::new(StdMutex::new(FetchJoin {
+        let join = Rc::new(RefCell::new(FetchJoin {
             remaining: blocked.len(),
             latest_ready,
         }));
@@ -648,7 +649,7 @@ struct FetchJoin {
 
 /// State carried by one fetch probe chain.
 struct FetchProbe {
-    handle: Weak<parking_lot::Mutex<World>>,
+    handle: Weak<RefCell<World>>,
     epoch: u64,
     fetch: BlockedFetch,
     /// Replica currently being probed.
@@ -660,7 +661,7 @@ struct FetchProbe {
     saw_corrupt: bool,
     ft: FtConfig,
     app: AppFn,
-    join: Arc<StdMutex<FetchJoin>>,
+    join: Rc<RefCell<FetchJoin>>,
 }
 
 /// Schedule the respawn of rank `r` at `ready`: launch its delayed sends
@@ -669,7 +670,7 @@ struct FetchProbe {
 /// fetch.
 fn schedule_respawn(
     sc: &SimCtx,
-    handle: Weak<parking_lot::Mutex<World>>,
+    handle: Weak<RefCell<World>>,
     epoch: u64,
     r: usize,
     ready: SimTime,
@@ -681,7 +682,7 @@ fn schedule_respawn(
             return;
         };
         {
-            let mut w = world.lock();
+            let mut w = world.borrow_mut();
             if w.rt.epoch != epoch {
                 return;
             }
@@ -713,7 +714,7 @@ fn schedule_fetch_probe(sc: &SimCtx, p: FetchProbe, at: SimTime) {
         let Some(world) = p.handle.upgrade() else {
             return;
         };
-        let mut w = world.lock();
+        let mut w = world.borrow_mut();
         if w.rt.epoch != p.epoch || w.rt.job_complete() {
             return; // a newer restart owns recovery now
         }
@@ -877,12 +878,7 @@ fn schedule_fetch_probe(sc: &SimCtx, p: FetchProbe, at: SimTime) {
             app,
         );
         let rearm_at = {
-            // A poisoned join only means another probe's closure panicked
-            // mid-update; the counters are plain integers, safe to reuse.
-            let mut j = match join.lock() {
-                Ok(j) => j,
-                Err(poisoned) => poisoned.into_inner(),
-            };
+            let mut j = join.borrow_mut();
             j.remaining -= 1;
             j.latest_ready = j.latest_ready.max(ready);
             (j.remaining == 0).then_some(j.latest_ready)
@@ -910,13 +906,13 @@ const SCRUB_LANE: u64 = 1 << 62;
 /// service belongs to the checkpoint fleet, not the job epoch — it
 /// survives restarts and stands down only when the job completes.
 pub fn arm_scrubber(sc: &SimCtx, world: &WorldRef, interval: SimDuration) {
-    let handle = world.lock().rt.world_handle();
+    let handle = world.borrow_mut().rt.world_handle();
     schedule_scrub_tick(sc, handle, interval, sc.now() + interval);
 }
 
 fn schedule_scrub_tick(
     sc: &SimCtx,
-    handle: Weak<parking_lot::Mutex<World>>,
+    handle: Weak<RefCell<World>>,
     interval: SimDuration,
     at: SimTime,
 ) {
@@ -925,13 +921,13 @@ fn schedule_scrub_tick(
             return;
         };
         {
-            let mut w = world.lock();
+            let mut w = world.borrow_mut();
             if w.rt.job_complete() {
                 return;
             }
             scrub_pass(&mut w, sc);
         }
-        let handle = world.lock().rt.world_handle();
+        let handle = world.borrow_mut().rt.world_handle();
         schedule_scrub_tick(sc, handle, interval, sc.now() + interval);
     });
 }
@@ -957,7 +953,7 @@ type ScrubFindings = (Vec<(u64, usize, NodeId)>, Vec<NodeId>, Vec<ScrubRepair>);
 /// damage, then launch one bounded re-replication flow per damaged copy.
 /// The repair write lands only if, when the stream completes, the slot is
 /// still retained, still damaged (an earlier repair may have won), and the
-/// target still takes writes — checked under the lock at completion time.
+/// target still takes writes — checked when the stream completes.
 fn scrub_pass(w: &mut World, sc: &SimCtx) {
     let Some(co) = coordinated(w) else {
         return;
@@ -1078,7 +1074,7 @@ pub fn partition_cut(
     service_node: NodeId,
 ) {
     let (handle, epoch, watched) = {
-        let mut w = world.lock();
+        let mut w = world.borrow_mut();
         w.rt.net
             .start_partition_with(name, nodes.iter().copied(), direction, tear);
         let watched = split(&mut w).0.heartbeat_detected();
@@ -1098,7 +1094,7 @@ pub fn partition_cut(
         let Some(world) = handle.upgrade() else {
             return;
         };
-        let mut w = world.lock();
+        let mut w = world.borrow_mut();
         if w.rt.job_complete() || w.rt.epoch != epoch {
             return;
         }

@@ -1,6 +1,7 @@
 //! Job assembly and execution: platform + deployment + protocol + workload
 //! in one call, returning the metrics every experiment consumes.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use ftmpi_mpi::{
@@ -365,7 +366,7 @@ pub fn build_deployment(spec: &JobSpec) -> Deployment {
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
     /// Record the structured protocol trace (checker input). Off by
-    /// default: tracing is behind a lock-free gate and costs nothing when
+    /// default: tracing is behind a single flag check and costs nothing when
     /// disabled.
     pub trace: bool,
     /// Perturb same-time event tiebreaks with this seed (race detection).
@@ -376,10 +377,6 @@ pub struct RunOptions {
     /// this list, falling back to 0 (the canonical order) beyond its end.
     /// `None` leaves the kernel policy-free — the ordinary fast path.
     pub schedule: Option<Vec<usize>>,
-    /// Force the event-queue backend (`true` = ladder), overriding the
-    /// `FTMPI_NO_LADDER` environment default (the explorer's differential-
-    /// backend mode). `None` keeps the default.
-    pub ladder: Option<bool>,
     /// Re-open one of the two historical races as a regression fixture for
     /// the schedule explorer (see [`RaceFixture`]). `None` — always, outside
     /// explorer tests — leaves every protocol path exactly as shipped.
@@ -453,11 +450,6 @@ pub fn run_job_explored(
     let world: WorldRef = World::new_ref(rt, engine);
 
     let mut sim = Sim::new();
-    // Backend override first (it replaces the still-empty queue), then the
-    // policy (it starts lane recording on whichever queue survives).
-    if let Some(ladder) = opts.ladder {
-        sim.force_queue_backend(ladder);
-    }
     if let Some(prefix) = opts.schedule {
         sim.set_schedule_policy(Box::new(ftmpi_sim::PrescribedPolicy::new(prefix)));
     }
@@ -471,22 +463,22 @@ pub fn run_job_explored(
         sim.set_tiebreak_seed(seed);
     }
 
-    let w2 = Arc::clone(&world);
+    let w2 = Rc::clone(&world);
     let app = Arc::clone(&spec.app);
     let nranks = spec.nranks;
     sim.schedule(SimTime::ZERO, move |sc| {
         for r in 0..nranks {
             spawn_rank(sc, &w2, r, Arc::clone(&app));
         }
-        let mut w = w2.lock();
+        let mut w = w2.borrow_mut();
         let (engine, rt) = split(&mut w);
         engine.start(rt, sc);
     });
 
     for &at in &spec.wave_triggers {
-        let w2 = Arc::clone(&world);
+        let w2 = Rc::clone(&world);
         sim.schedule(at, move |sc| {
-            let mut w = w2.lock();
+            let mut w = w2.borrow_mut();
             let (engine, rt) = split(&mut w);
             engine.trigger(rt, sc);
         });
@@ -498,12 +490,12 @@ pub fn run_job_explored(
     // (independent Poisson schedules can legally collide — see
     // `FailurePlan::merged`).
     for (at, server) in spec.failures.server_kills.clone() {
-        let w2 = Arc::clone(&world);
+        let w2 = Rc::clone(&world);
         sim.schedule(at, move |sc| server_fail(sc, &w2, server));
     }
 
     for (at, victim) in spec.failures.kills.clone() {
-        let w2 = Arc::clone(&world);
+        let w2 = Rc::clone(&world);
         let app = Arc::clone(&spec.app);
         let ft = spec.ft.clone();
         sim.schedule(at, move |sc| {
@@ -520,7 +512,7 @@ pub fn run_job_explored(
             .filter(|&r| placement_roles.node_of(r).0 == node)
             .collect();
         let server_idx = dep.server_nodes.iter().position(|n| n.0 == node);
-        let w2 = Arc::clone(&world);
+        let w2 = Rc::clone(&world);
         let app = Arc::clone(&spec.app);
         let ft = spec.ft.clone();
         sim.schedule(at, move |sc| {
@@ -541,9 +533,9 @@ pub fn run_job_explored(
     }
     let mut fault_idx = 0u64;
     for ev in spec.net_faults.expanded_link_events() {
-        let w2 = Arc::clone(&world);
+        let w2 = Rc::clone(&world);
         sim.schedule_link_fault(ev.at, fault_lane(fault_idx), move |_sc| {
-            let mut w = w2.lock();
+            let mut w = w2.borrow_mut();
             match ev.kind {
                 LinkFaultKind::Down => w.rt.net.set_link_down(ev.from, ev.to),
                 LinkFaultKind::Degrade(f) => w.rt.net.degrade_link(ev.from, ev.to, f),
@@ -582,7 +574,7 @@ pub fn run_job_explored(
         });
     }
     for p in partitions {
-        let w2 = Arc::clone(&world);
+        let w2 = Rc::clone(&world);
         let app = Arc::clone(&spec.app);
         let ft = spec.ft.clone();
         let name = p.name.clone();
@@ -604,10 +596,10 @@ pub fn run_job_explored(
         });
         fault_idx += 1;
         if let Some(heal) = p.heal {
-            let w2 = Arc::clone(&world);
+            let w2 = Rc::clone(&world);
             let name = p.name.clone();
             sim.schedule_link_fault(heal, fault_lane(fault_idx), move |_sc| {
-                w2.lock().rt.net.heal_partition(&name);
+                w2.borrow_mut().rt.net.heal_partition(&name);
             });
             fault_idx += 1;
         }
@@ -618,7 +610,7 @@ pub fn run_job_explored(
     // counter — corruption races flows and fetch probes touching the same
     // replica exactly like a link transition would).
     for ev in spec.failures.expanded_corruptions() {
-        let w2 = Arc::clone(&world);
+        let w2 = Rc::clone(&world);
         sim.schedule_link_fault(ev.at, fault_lane(fault_idx), move |sc| {
             corrupt_images(sc, &w2, ev.server, ev.rank);
         });
@@ -628,13 +620,13 @@ pub fn run_job_explored(
     // Background scrubber (off by default; only a server fleet has
     // replicas to scrub).
     if let Some(interval) = spec.ft.scrub_interval.filter(|_| coordinated) {
-        let w2 = Arc::clone(&world);
+        let w2 = Rc::clone(&world);
         sim.schedule(SimTime::ZERO, move |sc| arm_scrubber(sc, &w2, interval));
     }
 
     let report = sim.run().map_err(|e| JobError::Sim(e.to_string()))?;
 
-    let mut w = world.lock();
+    let mut w = world.borrow_mut();
     if let Some(e) = &w.rt.fatal_error {
         return Err(JobError::Recovery(e.clone()));
     }

@@ -8,7 +8,7 @@
 //! fault-tolerance protocols guarantee the message-level consistency of the
 //! cut (see DESIGN.md §5.1).
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use ftmpi_sim::{ProcCtx, SimDuration};
 
@@ -125,11 +125,13 @@ impl Mpi {
         if self.next_op_skipped() {
             return;
         }
-        let world = Arc::clone(&self.world);
+        let world = Rc::clone(&self.world);
         let src = self.rank;
         self.ctx
             .exec::<(), _>(move |sc, reply| {
-                world.lock().post_send(sc, src, dst, tag, bytes, reply);
+                world
+                    .borrow_mut()
+                    .post_send(sc, src, dst, tag, bytes, reply);
             })
             .await;
     }
@@ -139,11 +141,13 @@ impl Mpi {
         if self.next_op_skipped() {
             return RecvInfo::replayed();
         }
-        let world = Arc::clone(&self.world);
+        let world = Rc::clone(&self.world);
         let dst = self.rank;
         self.ctx
             .exec::<RecvInfo, _>(move |sc, reply| {
-                world.lock().post_recv_blocking(sc, dst, src, tag, reply);
+                world
+                    .borrow_mut()
+                    .post_recv_blocking(sc, dst, src, tag, reply);
             })
             .await
     }
@@ -158,12 +162,12 @@ impl Mpi {
                 kind: ReqKind::ReplayRecv { src, tag },
             };
         }
-        let world = Arc::clone(&self.world);
+        let world = Rc::clone(&self.world);
         let dst = self.rank;
         let id = self
             .ctx
             .exec::<u64, _>(move |sc, reply| {
-                world.lock().post_irecv(sc, dst, src, tag, reply);
+                world.borrow_mut().post_irecv(sc, dst, src, tag, reply);
             })
             .await;
         ReqHandle {
@@ -188,11 +192,11 @@ impl Mpi {
                     return RecvInfo::replayed();
                 }
                 // Complete immediately (library entry with negligible cost).
-                let world = Arc::clone(&self.world);
+                let world = Rc::clone(&self.world);
                 let rank = self.rank;
                 self.ctx
                     .exec::<(), _>(move |sc, reply| {
-                        let mut w = world.lock();
+                        let mut w = world.borrow_mut();
                         let _ = &mut w.rt.ranks[rank]; // runtime entry
                         w.proto_entry(sc, rank);
                         reply.complete(sc, ());
@@ -205,11 +209,13 @@ impl Mpi {
                     return RecvInfo::replayed();
                 }
                 // The posting was replayed away; issue the receive now.
-                let world = Arc::clone(&self.world);
+                let world = Rc::clone(&self.world);
                 let dst = self.rank;
                 self.ctx
                     .exec::<RecvInfo, _>(move |sc, reply| {
-                        world.lock().post_recv_blocking(sc, dst, src, tag, reply);
+                        world
+                            .borrow_mut()
+                            .post_recv_blocking(sc, dst, src, tag, reply);
                     })
                     .await
             }
@@ -219,11 +225,11 @@ impl Mpi {
                     // not skipped, and skip is a prefix of the op stream.
                     return RecvInfo::replayed();
                 }
-                let world = Arc::clone(&self.world);
+                let world = Rc::clone(&self.world);
                 let rank = self.rank;
                 self.ctx
                     .exec::<RecvInfo, _>(move |sc, reply| {
-                        world.lock().wait_request(sc, rank, id, reply);
+                        world.borrow_mut().wait_request(sc, rank, id, reply);
                     })
                     .await
             }
@@ -250,13 +256,15 @@ impl Mpi {
         if send_idx + 1 < self.skip_until {
             return RecvInfo::replayed(); // both halves pre-cut
         }
-        let world = Arc::clone(&self.world);
+        let world = Rc::clone(&self.world);
         let me = self.rank;
         if send_idx >= self.skip_until {
             // Both halves live: the fused fast path.
             self.ctx
                 .exec::<RecvInfo, _>(move |sc, reply| {
-                    world.lock().post_shift(sc, me, to, from, tag, bytes, reply);
+                    world
+                        .borrow_mut()
+                        .post_shift(sc, me, to, from, tag, bytes, reply);
                 })
                 .await
         } else {
@@ -265,7 +273,7 @@ impl Mpi {
             self.ctx
                 .exec::<RecvInfo, _>(move |sc, reply| {
                     world
-                        .lock()
+                        .borrow_mut()
                         .post_recv_blocking(sc, me, Some(from), Some(tag), reply);
                 })
                 .await
@@ -301,11 +309,11 @@ impl Mpi {
         self.ops_done += 1; // finalize is an op, but never skipped:
                             // a restored image can only have been taken
                             // before the rank finished.
-        let world = Arc::clone(&self.world);
+        let world = Rc::clone(&self.world);
         let rank = self.rank;
         self.ctx
             .exec::<(), _>(move |sc, reply| {
-                world.lock().mark_finished(sc, rank, reply);
+                world.borrow_mut().mark_finished(sc, rank, reply);
             })
             .await;
     }

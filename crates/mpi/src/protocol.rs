@@ -48,7 +48,7 @@ pub enum ArrivalAction {
 ///
 /// Implementations live in `ftmpi-core`; [`DummyProtocol`] (the paper's
 /// "Vdummy" / plain runs) is provided here as the no-op baseline.
-pub trait Protocol: Any + Send {
+pub trait Protocol: Any {
     /// Short name used in reports ("dummy", "vcl", "pcl").
     fn name(&self) -> &'static str;
 

@@ -1,11 +1,11 @@
-//! The shared world: runtime core + protocol engine behind one lock, plus
+//! The shared world: runtime core + protocol engine in one `RefCell`, plus
 //! the application-operation entry points and rank process spawning.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
-use ftmpi_sim::{Reply, SimCtx, SimDuration, SimTime};
+use ftmpi_sim::{Reply, SimCtx, SimDuration};
 
 use crate::handle::Mpi;
 use crate::protocol::{ArrivalAction, Protocol, SendAction};
@@ -23,13 +23,18 @@ pub struct World {
     pub proto: Box<dyn Protocol>,
 }
 
-/// Shared handle to the world.
-pub type WorldRef = Arc<Mutex<World>>;
+/// Shared handle to the world. The kernel is single-threaded: event
+/// handlers borrow the world for the length of one handler and release it
+/// before anything else runs.
+pub type WorldRef = Rc<RefCell<World>>;
 
 /// The future returned by one invocation of a rank's application function.
-pub type AppFuture = std::pin::Pin<Box<dyn std::future::Future<Output = Mpi> + Send>>;
+pub type AppFuture = std::pin::Pin<Box<dyn std::future::Future<Output = Mpi>>>;
 
 /// A rank's application function (shared so restarts can respawn it).
+/// It stays `Send + Sync` because job descriptions holding it cross the
+/// sweep runner's worker threads; the futures it returns never leave the
+/// thread that runs the simulation.
 ///
 /// The function takes ownership of the rank's [`Mpi`] handle and returns it
 /// when the application code completes; the rank trampoline then finalizes.
@@ -41,13 +46,15 @@ pub type AppFuture = std::pin::Pin<Box<dyn std::future::Future<Output = Mpi> + S
 ///     mpi
 /// });
 /// ```
+// lint:allow(single-thread) — shared with the sweep runner's threads.
 pub type AppFn = Arc<dyn Fn(Mpi) -> AppFuture + Send + Sync>;
 
 /// Wrap an async application body as an [`AppFn`].
 pub fn app_fn<F, Fut>(f: F) -> AppFn
 where
+    // lint:allow(single-thread) — becomes an `AppFn`.
     F: Fn(Mpi) -> Fut + Send + Sync + 'static,
-    Fut: std::future::Future<Output = Mpi> + Send + 'static,
+    Fut: std::future::Future<Output = Mpi> + 'static,
 {
     Arc::new(move |mpi| Box::pin(f(mpi)))
 }
@@ -56,9 +63,9 @@ impl World {
     /// Build the world and wire the internal back-reference used to
     /// schedule arrival events.
     pub fn new_ref(mut rt: RuntimeCore, proto: Box<dyn Protocol>) -> WorldRef {
-        rt.world = std::sync::Weak::new(); // placeholder; set below
-        let world = Arc::new(Mutex::new(World { rt, proto }));
-        world.lock().rt.world = Arc::downgrade(&world);
+        rt.world = std::rc::Weak::new(); // placeholder; set below
+        let world = Rc::new(RefCell::new(World { rt, proto }));
+        world.borrow_mut().rt.world = Rc::downgrade(&world);
         world
     }
 
@@ -297,18 +304,18 @@ impl World {
 /// failure-restart.
 pub fn spawn_rank(sc: &SimCtx, world: &WorldRef, rank: Rank, app: AppFn) {
     let (size, skip_ops, time_credit, start_at) = {
-        let w = world.lock();
+        let w = world.borrow();
         let r = &w.rt.ranks[rank];
         (w.rt.size(), r.skip_ops, r.time_credit, sc.now())
     };
-    let world2 = Arc::clone(world);
+    let world2 = Rc::clone(world);
     let pid = sc.spawn_at(start_at, format!("rank{rank}"), move |ctx| async move {
         let mpi = Mpi::new(ctx, world2, rank, size, skip_ops, time_credit);
         let mut mpi = app(mpi).await;
         mpi.finalize().await;
     });
     {
-        let mut w = world.lock();
+        let mut w = world.borrow_mut();
         let r = &mut w.rt.ranks[rank];
         r.pid = Some(pid);
         // The rank's activity clock starts now: a checkpoint captured
@@ -316,6 +323,3 @@ pub fn spawn_rank(sc: &SimCtx, world: &WorldRef, rank: Rank, app: AppFn) {
         r.last_entry = sc.now();
     }
 }
-
-/// Convenience for tests: synchronisation point recording a value.
-pub(crate) fn _noop(_: SimTime) {}

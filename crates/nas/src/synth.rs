@@ -2,12 +2,10 @@
 //! §5.4 platform characterization, plus simple patterns for tests and
 //! ablations.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use ftmpi_mpi::{app_fn, AppFn};
 use ftmpi_sim::SimDuration;
-use parking_lot::Mutex;
-
 /// One NetPIPE sample: message size and measured one-way time.
 #[derive(Debug, Clone, Copy)]
 pub struct PingPongSample {
@@ -56,11 +54,14 @@ pub fn netpipe_app(max_bytes: u64, reps: usize, results: PingPongResults) -> App
                 let t1 = mpi.wtime();
                 if mpi.rank() == 0 {
                     let one_way = (t1 - t0) / (2.0 * reps as f64);
-                    results.lock().push(PingPongSample {
-                        bytes,
-                        one_way_secs: one_way,
-                        bandwidth: bytes as f64 / one_way,
-                    });
+                    results
+                        .lock()
+                        .expect("ping-pong results poisoned")
+                        .push(PingPongSample {
+                            bytes,
+                            one_way_secs: one_way,
+                            bandwidth: bytes as f64 / one_way,
+                        });
                 }
             }
             mpi

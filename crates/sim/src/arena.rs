@@ -1,9 +1,9 @@
 //! Slab arena for event payloads.
 //!
-//! The scheduling structures ([`crate::ladder::LadderQueue`] and the heap
-//! fallback) order events by a small `Copy` key; the fat part of an event —
-//! the boxed model closure in [`EventKind`] — lives here, addressed by slot.
-//! Sorting and sifting therefore move 32-byte keys instead of whole events,
+//! The scheduling structure ([`crate::ladder::LadderQueue`]) orders events
+//! by a small `Copy` key; the fat part of an event — the boxed model
+//! closure in [`EventKind`] — lives here, addressed by slot. Sorting and
+//! re-bucketing therefore move 32-byte keys instead of whole events,
 //! and a cancelled event's payload is reclaimed the moment its tombstone is
 //! discovered instead of riding along in the queue. The layout follows the
 //! `QueuedEvent` / side-table idiom of trainspotting's scheduler.

@@ -1,13 +1,11 @@
 //! The simulation kernel: event loop, process table, and the [`SimCtx`]
 //! service handle exposed to model code.
 
+use std::cell::{Cell, RefCell};
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
-
-use parking_lot::Mutex;
 
 use crate::event::{Event, EventId, EventKind, EventQueue};
 use crate::process::{Pid, ProcCtx, ProcessExit, WakeKind, WakeSlot};
@@ -18,10 +16,10 @@ use crate::trace::{TraceEvent, TraceKind, Tracer};
 
 /// A process body compiled to a resumable state machine, owned by the kernel
 /// and stepped inline from the drive loop.
-type CoroFuture = Pin<Box<dyn Future<Output = ()> + Send>>;
+type CoroFuture = Pin<Box<dyn Future<Output = ()>>>;
 /// Deferred coroutine constructor: runs at the first Normal wake so the
 /// process's local clock starts at its actual start time.
-type EmbryoFn = Box<dyn FnOnce(ProcCtx) -> CoroFuture + Send>;
+type EmbryoFn = Box<dyn FnOnce(ProcCtx) -> CoroFuture>;
 
 /// Execution state of one simulated process.
 enum ProcBody {
@@ -30,20 +28,17 @@ enum ProcBody {
     Embryo(EmbryoFn),
     /// Parked between wakes: the kernel deposits the next wake in `slot`
     /// and polls `fut` inline — a Resume event is a direct method call.
-    Coro {
-        fut: CoroFuture,
-        slot: Arc<WakeSlot>,
-    },
+    Coro { fut: CoroFuture, slot: Rc<WakeSlot> },
     /// Checked out by the drive loop for a poll. The machine cannot stay in
-    /// the table while polled: polling reenters the kernel state lock
-    /// through `schedule_exec`.
+    /// the table while polled: polling reenters the kernel state through
+    /// `schedule_exec`, which borrows it.
     Running,
     /// Exited; nothing left to drive.
     Gone,
 }
 
 struct ProcEntry {
-    name: Arc<str>,
+    name: Rc<str>,
     body: ProcBody,
     alive: bool,
     /// The event scheduled by the process's current `exec` call, if any.
@@ -65,7 +60,7 @@ pub(crate) struct KernelState {
     max_time: Option<SimTime>,
     tracer: Tracer,
     /// Exit records in completion order.
-    exits: Vec<(Pid, Arc<str>, ProcessExit)>,
+    exits: Vec<(Pid, Rc<str>, ProcessExit)>,
     /// Exploration mode: a controller choosing among same-instant
     /// candidates ([`Sim::set_schedule_policy`]). `None` in ordinary runs —
     /// the pop path is then exactly the policy-free fast path.
@@ -196,23 +191,23 @@ impl KernelState {
 
 /// Shared kernel handle. Internal; exposed types are [`Sim`] and [`SimCtx`].
 pub struct Shared {
-    pub(crate) state: Mutex<KernelState>,
-    /// Lock-free mirror of the tracer's enabled flag, so the per-message
-    /// trace calls on the hot path ([`SimCtx::trace`], [`SimCtx::kill`])
-    /// skip the state mutex when tracing is off (the common case: only
-    /// tests and debugging sessions enable it).
-    trace_on: AtomicBool,
+    pub(crate) state: RefCell<KernelState>,
+    /// Mirror of the tracer's enabled flag, so the per-message trace calls
+    /// on the hot path ([`SimCtx::trace`], [`SimCtx::kill`]) skip borrowing
+    /// the state when tracing is off (the common case: only tests and
+    /// debugging sessions enable it).
+    trace_on: Cell<bool>,
 }
 
 impl Shared {
     /// Schedule a model closure. Used by both [`SimCtx`] and [`ProcCtx`].
     pub(crate) fn schedule_call(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         at: SimTime,
         lane: Option<u64>,
-        f: impl FnOnce(&SimCtx) + Send + 'static,
+        f: impl FnOnce(&SimCtx) + 'static,
     ) -> EventId {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         let now = st.now;
         debug_assert!(at >= now, "scheduling into the past: at={at:?} now={now:?}");
         st.queue
@@ -220,7 +215,7 @@ impl Shared {
     }
 
     fn schedule_resume(&self, at: SimTime, pid: Pid, kind: WakeKind) -> EventId {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         let at = at.max(st.now);
         st.queue
             .push(at, Some(pid.lane()), EventKind::Resume(pid, kind))
@@ -229,12 +224,12 @@ impl Shared {
     /// Schedule the model closure of a [`ProcCtx::exec`] call, remembering it
     /// so it can be cancelled if the process is killed before it runs.
     pub(crate) fn schedule_exec(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         pid: Pid,
         at: SimTime,
-        f: impl FnOnce(&SimCtx) + Send + 'static,
+        f: impl FnOnce(&SimCtx) + 'static,
     ) {
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         let at = at.max(st.now);
         // The wrapper clears the pending marker as soon as the call runs, so
         // `pending_exec` is `Some` exactly while the event is still queued
@@ -243,7 +238,7 @@ impl Shared {
             at,
             Some(pid.lane()),
             EventKind::Call(Box::new(move |sc: &SimCtx| {
-                if let Some(e) = sc.shared().state.lock().procs.get_mut(pid) {
+                if let Some(e) = sc.shared().state.borrow_mut().procs.get_mut(pid) {
                     e.pending_exec = None;
                 }
                 f(sc);
@@ -332,12 +327,12 @@ pub struct RunReport {
 /// Service handle available to model closures while they run on the kernel
 /// loop. All methods are safe to call at any point inside an event handler.
 pub struct SimCtx {
-    shared: Arc<Shared>,
+    shared: Rc<Shared>,
     now: SimTime,
 }
 
 impl SimCtx {
-    pub(crate) fn shared(&self) -> &Arc<Shared> {
+    pub(crate) fn shared(&self) -> &Rc<Shared> {
         &self.shared
     }
 
@@ -352,14 +347,14 @@ impl SimCtx {
     /// state. The flow layer's chunk batching is built on exactly that
     /// window.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        self.shared.state.lock().queue.peek_time()
+        self.shared.state.borrow_mut().queue.peek_time()
     }
 
     /// The configured stop horizon ([`Sim::set_max_time`]), if any. Batched
     /// fast-forwarding must not cross it: the unbatched kernel would have
     /// stopped at the first event past the horizon.
     pub fn horizon(&self) -> Option<SimTime> {
-        self.shared.state.lock().max_time
+        self.shared.state.borrow().max_time
     }
 
     /// Account for `n` events that a batching optimization proved
@@ -368,11 +363,11 @@ impl SimCtx {
     /// cache fingerprints) identical between the batched and unbatched
     /// kernels.
     pub fn credit_virtual_events(&self, n: u64) {
-        self.shared.state.lock().executed += n;
+        self.shared.state.borrow_mut().executed += n;
     }
 
     /// Schedule `f` at absolute time `at` (clamped to now if in the past).
-    pub fn schedule(&self, at: SimTime, f: impl FnOnce(&SimCtx) + Send + 'static) -> EventId {
+    pub fn schedule(&self, at: SimTime, f: impl FnOnce(&SimCtx) + 'static) -> EventId {
         self.shared.schedule_call(at.max(self.now), None, f)
     }
 
@@ -388,20 +383,20 @@ impl SimCtx {
         &self,
         at: SimTime,
         lane: Option<u64>,
-        f: impl FnOnce(&SimCtx) + Send + 'static,
+        f: impl FnOnce(&SimCtx) + 'static,
     ) -> EventId {
         self.shared.schedule_call(at.max(self.now), lane, f)
     }
 
     /// Schedule `f` after a delay.
-    pub fn schedule_in(&self, d: SimDuration, f: impl FnOnce(&SimCtx) + Send + 'static) -> EventId {
+    pub fn schedule_in(&self, d: SimDuration, f: impl FnOnce(&SimCtx) + 'static) -> EventId {
         self.shared.schedule_call(self.now + d, None, f)
     }
 
     /// Cancel a previously scheduled event. Cancelling an already-executed
     /// event is a harmless no-op.
     pub fn cancel(&self, id: EventId) {
-        self.shared.state.lock().queue.cancel(id);
+        self.shared.state.borrow_mut().queue.cancel(id);
     }
 
     /// Wake a parked process now (no-op if it has exited).
@@ -418,14 +413,10 @@ impl SimCtx {
     /// kill wake (a pure state transition that runs the machine's
     /// destructors). No-op for already-dead processes.
     pub fn kill(&self, pid: Pid) {
-        // Pre-format the trace detail outside the lock; with tracing off
-        // (the common case) the whole call takes one lock acquisition.
-        let trace_detail = self
-            .shared
-            .trace_on
-            .load(Ordering::Relaxed)
-            .then(|| format!("kill {pid}"));
-        let mut st = self.shared.state.lock();
+        // Pre-format the trace detail before borrowing the state; with
+        // tracing off (the common case) the whole call is one borrow.
+        let trace_detail = self.shared.trace_on.get().then(|| format!("kill {pid}"));
+        let mut st = self.shared.state.borrow_mut();
         let Some(entry) = st.procs.get(pid) else {
             return;
         };
@@ -452,7 +443,7 @@ impl SimCtx {
     pub fn is_alive(&self, pid: Pid) -> bool {
         self.shared
             .state
-            .lock()
+            .borrow()
             .procs
             .get(pid)
             .map(|e| e.alive)
@@ -465,8 +456,8 @@ impl SimCtx {
     /// helpers).
     pub fn spawn_at<F, Fut>(&self, at: SimTime, name: impl Into<String>, f: F) -> Pid
     where
-        F: FnOnce(ProcCtx) -> Fut + Send + 'static,
-        Fut: Future<Output = ()> + Send + 'static,
+        F: FnOnce(ProcCtx) -> Fut + 'static,
+        Fut: Future<Output = ()> + 'static,
     {
         spawn_inner(&self.shared, at.max(self.now), name.into(), f)
     }
@@ -474,21 +465,21 @@ impl SimCtx {
     /// Spawn a new simulated process that starts immediately.
     pub fn spawn<F, Fut>(&self, name: impl Into<String>, f: F) -> Pid
     where
-        F: FnOnce(ProcCtx) -> Fut + Send + 'static,
-        Fut: Future<Output = ()> + Send + 'static,
+        F: FnOnce(ProcCtx) -> Fut + 'static,
+        Fut: Future<Output = ()> + 'static,
     {
         self.spawn_at(self.now, name, f)
     }
 
     /// Ask the kernel loop to stop after the current event.
     pub fn request_stop(&self) {
-        self.shared.state.lock().stop_requested = true;
+        self.shared.state.borrow_mut().stop_requested = true;
     }
 
     /// Record a model trace event. With tracing disabled (the common case)
-    /// this is a single relaxed atomic load — no lock, no formatting.
+    /// this is a single flag read — no borrow, no formatting.
     pub fn trace(&self, label: &'static str, pid: Option<Pid>, detail: impl FnOnce() -> String) {
-        if !self.shared.trace_on.load(Ordering::Relaxed) {
+        if !self.shared.trace_on.get() {
             return;
         }
         let ev = TraceEvent {
@@ -497,15 +488,15 @@ impl SimCtx {
             pid,
             detail: detail(),
         };
-        self.shared.state.lock().tracer.record(ev);
+        self.shared.state.borrow_mut().tracer.record(ev);
     }
 
-    /// Record a typed protocol event (see [`crate::ProtoEvent`]). Same
-    /// lock-free gate as [`SimCtx::trace`]: with tracing disabled this is a
-    /// single relaxed atomic load, so protocol hot paths (every message
-    /// send/delivery) stay zero-cost in ordinary runs.
+    /// Record a typed protocol event (see [`crate::ProtoEvent`]). Same gate
+    /// as [`SimCtx::trace`]: with tracing disabled this is a single flag
+    /// read, so protocol hot paths (every message send/delivery) stay
+    /// zero-cost in ordinary runs.
     pub fn trace_proto(&self, ev: crate::trace::ProtoEvent) {
-        if !self.shared.trace_on.load(Ordering::Relaxed) {
+        if !self.shared.trace_on.get() {
             return;
         }
         let rec = TraceEvent {
@@ -514,17 +505,17 @@ impl SimCtx {
             pid: None,
             detail: String::new(),
         };
-        self.shared.state.lock().tracer.record(rec);
+        self.shared.state.borrow_mut().tracer.record(rec);
     }
 }
 
-fn spawn_inner<F, Fut>(shared: &Arc<Shared>, start_at: SimTime, name: String, f: F) -> Pid
+fn spawn_inner<F, Fut>(shared: &Rc<Shared>, start_at: SimTime, name: String, f: F) -> Pid
 where
-    F: FnOnce(ProcCtx) -> Fut + Send + 'static,
-    Fut: Future<Output = ()> + Send + 'static,
+    F: FnOnce(ProcCtx) -> Fut + 'static,
+    Fut: Future<Output = ()> + 'static,
 {
-    let name: Arc<str> = Arc::from(name.as_str());
-    let mut st = shared.state.lock();
+    let name: Rc<str> = Rc::from(name.as_str());
+    let mut st = shared.state.borrow_mut();
     let pid = Pid(st.next_pid);
     st.next_pid += 1;
     if st.tracer.enabled() {
@@ -557,7 +548,7 @@ where
     pid
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: &dyn std::any::Any) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -569,12 +560,13 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// The simulation: owns the kernel state and drives the event loop.
 pub struct Sim {
-    shared: Arc<Shared>,
+    shared: Rc<Shared>,
 }
 
-/// One unit of work popped under the state lock and dispatched outside it.
+/// One unit of work popped while the state is borrowed and dispatched after
+/// the borrow ends.
 enum Dispatch {
-    Call(Box<dyn FnOnce(&SimCtx) + Send>, SimTime),
+    Call(Box<dyn FnOnce(&SimCtx)>, SimTime),
     /// Step the process's state machine inline.
     Poll(Pid, SimTime, WakeKind),
 }
@@ -589,8 +581,8 @@ impl Sim {
     /// Create an empty simulation at time zero.
     pub fn new() -> Sim {
         Sim {
-            shared: Arc::new(Shared {
-                state: Mutex::new(KernelState {
+            shared: Rc::new(Shared {
+                state: RefCell::new(KernelState {
                     queue: EventQueue::default(),
                     now: SimTime::ZERO,
                     procs: ProcTable::default(),
@@ -605,26 +597,26 @@ impl Sim {
                     decisions: Vec::new(),
                     steps: Vec::new(),
                 }),
-                trace_on: AtomicBool::new(false),
+                trace_on: Cell::new(false),
             }),
         }
     }
 
     /// Cap the number of events (defence against runaway models).
     pub fn set_max_events(&mut self, n: u64) {
-        self.shared.state.lock().max_events = Some(n);
+        self.shared.state.borrow_mut().max_events = Some(n);
     }
 
     /// Stop the run once the kernel clock passes `t` (remaining processes are
     /// killed during teardown).
     pub fn set_max_time(&mut self, t: SimTime) {
-        self.shared.state.lock().max_time = Some(t);
+        self.shared.state.borrow_mut().max_time = Some(t);
     }
 
     /// Enable trace collection (returned in the [`RunReport`]).
     pub fn enable_trace(&mut self) {
-        self.shared.state.lock().tracer.set_enabled(true);
-        self.shared.trace_on.store(true, Ordering::Relaxed);
+        self.shared.state.borrow_mut().tracer.set_enabled(true);
+        self.shared.trace_on.set(true);
     }
 
     /// Perturb same-time event tiebreaks with a seeded permutation.
@@ -637,7 +629,7 @@ impl Sim {
     /// trace fingerprints — a difference means some model or protocol state
     /// depends on the arbitrary tie order. Call before the run starts.
     pub fn set_tiebreak_seed(&mut self, seed: u64) {
-        self.shared.state.lock().queue.set_tiebreak_seed(seed);
+        self.shared.state.borrow_mut().queue.set_tiebreak_seed(seed);
     }
 
     /// Install a [`SchedulePolicy`] (exploration mode). Every pop with more
@@ -646,25 +638,9 @@ impl Sim {
     /// effects. Call before scheduling
     /// anything (the queue starts recording lanes here).
     pub fn set_schedule_policy(&mut self, policy: Box<dyn SchedulePolicy>) {
-        let mut st = self.shared.state.lock();
+        let mut st = self.shared.state.borrow_mut();
         st.queue.record_lanes();
         st.policy = Some(policy);
-    }
-
-    /// Replace the (still empty) event queue with one on the requested
-    /// backend, overriding the `FTMPI_NO_LADDER` default. Exploration's
-    /// differential-backend mode drives the same schedule space through both
-    /// backends and compares state-for-state.
-    pub fn force_queue_backend(&mut self, ladder: bool) {
-        let mut st = self.shared.state.lock();
-        debug_assert_eq!(
-            st.queue.scheduled_total, 0,
-            "switch backends before scheduling"
-        );
-        st.queue = EventQueue::with_ladder(ladder);
-        if st.policy.is_some() {
-            st.queue.record_lanes();
-        }
     }
 
     /// Convenience constructor for a [`SharedFlag`].
@@ -676,8 +652,8 @@ impl Sim {
     /// [`SimCtx::spawn_at`] for the async body contract.
     pub fn spawn<F, Fut>(&mut self, name: impl Into<String>, f: F) -> Pid
     where
-        F: FnOnce(ProcCtx) -> Fut + Send + 'static,
-        Fut: Future<Output = ()> + Send + 'static,
+        F: FnOnce(ProcCtx) -> Fut + 'static,
+        Fut: Future<Output = ()> + 'static,
     {
         spawn_inner(&self.shared, SimTime::ZERO, name.into(), f)
     }
@@ -685,14 +661,14 @@ impl Sim {
     /// Spawn an initial process starting at `at`.
     pub fn spawn_at<F, Fut>(&mut self, at: SimTime, name: impl Into<String>, f: F) -> Pid
     where
-        F: FnOnce(ProcCtx) -> Fut + Send + 'static,
-        Fut: Future<Output = ()> + Send + 'static,
+        F: FnOnce(ProcCtx) -> Fut + 'static,
+        Fut: Future<Output = ()> + 'static,
     {
         spawn_inner(&self.shared, at, name.into(), f)
     }
 
     /// Schedule a model closure before the run starts.
-    pub fn schedule(&mut self, at: SimTime, f: impl FnOnce(&SimCtx) + Send + 'static) -> EventId {
+    pub fn schedule(&mut self, at: SimTime, f: impl FnOnce(&SimCtx) + 'static) -> EventId {
         self.shared.schedule_call(at, None, f)
     }
 
@@ -705,9 +681,9 @@ impl Sim {
         &mut self,
         at: SimTime,
         lane: u64,
-        f: impl FnOnce(&SimCtx) + Send + 'static,
+        f: impl FnOnce(&SimCtx) + 'static,
     ) -> EventId {
-        let mut st = self.shared.state.lock();
+        let mut st = self.shared.state.borrow_mut();
         let at = at.max(st.now);
         st.queue
             .push(at, Some(lane), EventKind::LinkFault(Box::new(f)))
@@ -723,7 +699,7 @@ impl Sim {
         let result = self.run_loop();
         // Always tear down remaining processes, even on error paths.
         self.teardown();
-        let mut st = self.shared.state.lock();
+        let mut st = self.shared.state.borrow_mut();
         let report = RunReport {
             final_time: st.now,
             events_executed: st.executed,
@@ -744,7 +720,7 @@ impl Sim {
     fn run_loop(&mut self) -> Result<(), SimError> {
         loop {
             let dispatch = {
-                let mut st = self.shared.state.lock();
+                let mut st = self.shared.state.borrow_mut();
                 if st.stop_requested {
                     return Ok(());
                 }
@@ -796,7 +772,7 @@ impl Sim {
             match dispatch {
                 Dispatch::Call(f, time) => {
                     let sc = SimCtx {
-                        shared: Arc::clone(&self.shared),
+                        shared: Rc::clone(&self.shared),
                         now: time,
                     };
                     f(&sc);
@@ -811,19 +787,19 @@ impl Sim {
     }
 
     /// Step a process: deposit the wake and poll its state machine inline.
-    /// The machine is taken out of the table and polled *outside* the state
-    /// lock — polling reenters the kernel (`exec` schedules its Call
+    /// The machine is taken out of the table and polled with the state
+    /// unborrowed — polling reenters the kernel (`exec` schedules its Call
     /// event). A kill wake never reaches the machine: killing is a state
     /// transition in which the kernel drops the machine (running its Drop
     /// impls) and records the exit.
     fn drive_coro(&self, pid: Pid, kind: WakeKind, now: SimTime) -> Option<SimError> {
         enum Step {
             Drop(ProcBody),
-            Start(EmbryoFn, Arc<WakeSlot>, ProcCtx),
-            Poll(CoroFuture, Arc<WakeSlot>),
+            Start(EmbryoFn, Rc<WakeSlot>, ProcCtx),
+            Poll(CoroFuture, Rc<WakeSlot>),
         }
         let step = {
-            let mut st = self.shared.state.lock();
+            let mut st = self.shared.state.borrow_mut();
             // One executed event per delivered wake (a kill delivery also
             // counts 1).
             st.executed += 1;
@@ -841,9 +817,9 @@ impl Sim {
                         let slot = WakeSlot::new();
                         let ctx = ProcCtx {
                             pid,
-                            name: Arc::clone(&e.name),
-                            wake: Arc::clone(&slot),
-                            shared: Arc::clone(&self.shared),
+                            name: Rc::clone(&e.name),
+                            wake: Rc::clone(&slot),
+                            shared: Rc::clone(&self.shared),
                             local_time: now,
                         };
                         Step::Start(factory, slot, ctx)
@@ -863,7 +839,7 @@ impl Sim {
         };
         let (pending, slot) = match step {
             Step::Drop(body) => {
-                // Drop outside the lock: the machine's Drop impls may run
+                // Drop after the borrow ends: the machine's Drop impls may run
                 // arbitrary model-state destructors.
                 drop(body);
                 return self.record_exit(pid, now, ProcessExit::Killed);
@@ -891,7 +867,7 @@ impl Sim {
         match polled {
             Ok(Some(fut)) => {
                 // Parked at a suspension point: store the machine back.
-                let mut st = self.shared.state.lock();
+                let mut st = self.shared.state.borrow_mut();
                 if let Some(e) = st.procs.get_mut(pid) {
                     e.body = ProcBody::Coro { fut, slot };
                 }
@@ -899,7 +875,7 @@ impl Sim {
             }
             Ok(None) => self.record_exit(pid, now, ProcessExit::Normal),
             Err(payload) => {
-                self.record_exit(pid, now, ProcessExit::Panicked(panic_message(payload)))
+                self.record_exit(pid, now, ProcessExit::Panicked(panic_message(&*payload)))
             }
         }
     }
@@ -907,18 +883,18 @@ impl Sim {
     /// Exit bookkeeping: dead-mark, pending `exec` cancellation, exit trace
     /// and record, panic escalation.
     fn record_exit(&self, pid: Pid, now: SimTime, status: ProcessExit) -> Option<SimError> {
-        let mut st = self.shared.state.lock();
+        let mut st = self.shared.state.borrow_mut();
         let name = if let Some(e) = st.procs.get_mut(pid) {
             e.alive = false;
             e.body = ProcBody::Gone;
             let pending = e.pending_exec.take();
-            let name = Arc::clone(&e.name);
+            let name = Rc::clone(&e.name);
             if let Some(id) = pending {
                 st.queue.cancel(id);
             }
             name
         } else {
-            Arc::from("?")
+            Rc::from("?")
         };
         if st.tracer.enabled() {
             let detail = format!("exit '{name}': {status:?}");
@@ -929,7 +905,7 @@ impl Sim {
                 detail,
             });
         }
-        st.exits.push((pid, Arc::clone(&name), status.clone()));
+        st.exits.push((pid, Rc::clone(&name), status.clone()));
         if let ProcessExit::Panicked(message) = status {
             return Some(SimError::ProcessPanicked {
                 name: name.to_string(),
@@ -940,12 +916,12 @@ impl Sim {
     }
 
     /// Kill every remaining process, lowest pid first, dropping each state
-    /// machine outside the lock (its Drop impls may run arbitrary model-state
-    /// destructors).
+    /// machine after the borrow ends (its Drop impls may run arbitrary
+    /// model-state destructors).
     fn teardown(&mut self) {
         loop {
             let body = {
-                let mut st = self.shared.state.lock();
+                let mut st = self.shared.state.borrow_mut();
                 let Some(pid) = st
                     .procs
                     .iter()
@@ -960,7 +936,7 @@ impl Sim {
                 };
                 let body = std::mem::replace(&mut e.body, ProcBody::Gone);
                 e.alive = false;
-                let name = Arc::clone(&e.name);
+                let name = Rc::clone(&e.name);
                 st.exits.push((pid, name, ProcessExit::Killed));
                 body
             };

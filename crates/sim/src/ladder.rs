@@ -30,8 +30,8 @@
 //!
 //! Every structural decision depends only on the keys pushed so far, never
 //! on wall-clock or memory state, and ordering is total on [`Key`]
-//! `(time, tiekey, seq)` — identical to the heap backend, which is what the
-//! differential test in `event.rs` pins.
+//! `(time, tiekey, seq)` — identical to a binary heap's, which is what the
+//! reference-heap differential test in `event.rs` pins.
 
 /// Buckets per rung.
 const BUCKETS: usize = 256;

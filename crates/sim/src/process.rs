@@ -4,18 +4,16 @@
 //! enum-encoded state machine with one suspension point per kernel
 //! interaction ([`ProcCtx::exec`] and the sleep helpers built on it). The
 //! kernel owns the machine and steps it inline from the event loop: a
-//! Resume event is a direct `poll` call on the scheduler's own thread.
-//! Exactly one machine steps at a time, so model state never sees
-//! concurrent access.
+//! Resume event is a direct `poll` call. The kernel is single-threaded and
+//! exactly one machine steps at a time, so model state is shared through
+//! plain `Rc`/`RefCell`/`Cell` — no locks, no `Send` bounds.
 
+use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 use std::task::{Context, Poll};
-
-use parking_lot::Mutex;
 
 use crate::kernel::SimCtx;
 use crate::reply::Reply;
@@ -63,19 +61,17 @@ pub(crate) enum WakeKind {
 /// The wake mailbox of a process: the kernel drive loop deposits the
 /// resume time here immediately before polling the process's state
 /// machine, and the machine's pending suspension point consumes it. Only
-/// Normal wakes arrive here — a kill drops the machine instead. Only the
-/// kernel loop touches it; the mutex exists so the future stays `Send` for
-/// storage in the shared kernel state.
-pub(crate) struct WakeSlot(Mutex<Option<SimTime>>);
+/// Normal wakes arrive here — a kill drops the machine instead.
+pub(crate) struct WakeSlot(Cell<Option<SimTime>>);
 
 impl WakeSlot {
-    pub fn new() -> Arc<WakeSlot> {
-        Arc::new(WakeSlot(Mutex::new(None)))
+    pub fn new() -> Rc<WakeSlot> {
+        Rc::new(WakeSlot(Cell::new(None)))
     }
 
     /// Kernel side: deposit the wake the next poll will consume.
     pub fn put(&self, now: SimTime) {
-        let prev = self.0.lock().replace(now);
+        let prev = self.0.replace(Some(now));
         debug_assert!(
             prev.is_none(),
             "wake deposited while a previous wake was still unconsumed"
@@ -84,7 +80,7 @@ impl WakeSlot {
 
     /// Suspension side: consume the pending wake, if any.
     pub fn take(&self) -> Option<SimTime> {
-        self.0.lock().take()
+        self.0.take()
     }
 }
 
@@ -111,9 +107,9 @@ impl Future for Suspend<'_> {
 /// synchronizes with the kernel at the process's local time.
 pub struct ProcCtx {
     pub(crate) pid: Pid,
-    pub(crate) name: Arc<str>,
-    pub(crate) wake: Arc<WakeSlot>,
-    pub(crate) shared: Arc<crate::kernel::Shared>,
+    pub(crate) name: Rc<str>,
+    pub(crate) wake: Rc<WakeSlot>,
+    pub(crate) shared: Rc<crate::kernel::Shared>,
     pub(crate) local_time: SimTime,
 }
 
@@ -148,11 +144,11 @@ impl ProcCtx {
     /// bug and panics.
     pub async fn exec<R, F>(&mut self, f: F) -> R
     where
-        R: Send + 'static,
-        F: FnOnce(&SimCtx, Reply<R>) + Send + 'static,
+        R: 'static,
+        F: FnOnce(&SimCtx, Reply<R>) + 'static,
     {
-        let slot: Arc<Mutex<Option<R>>> = Arc::new(Mutex::new(None));
-        let reply = Reply::new(self.pid, Arc::clone(&slot));
+        let slot: Rc<RefCell<Option<R>>> = Rc::new(RefCell::new(None));
+        let reply = Reply::new(self.pid, Rc::clone(&slot));
         self.shared
             .schedule_exec(self.pid, self.local_time, move |sc| f(sc, reply));
         // A kill never resolves this suspension: the kernel drops the
@@ -161,11 +157,8 @@ impl ProcCtx {
         if resume_time > self.local_time {
             self.local_time = resume_time;
         }
-        let value = slot
-            .lock()
-            .take()
-            .expect("process woken without a completed reply (model bug)");
-        value
+        slot.take()
+            .expect("process woken without a completed reply (model bug)")
     }
 
     /// Suspend until the kernel clock catches up with the local clock.
@@ -184,10 +177,10 @@ impl ProcCtx {
     }
 }
 
-/// A tiny thread-safe boolean used by tests and examples to observe
-/// completion from outside the simulation.
+/// A tiny shared boolean used by tests and examples to observe completion
+/// from outside the simulation.
 #[derive(Debug, Clone, Default)]
-pub struct SharedFlag(Arc<AtomicBool>);
+pub struct SharedFlag(Rc<Cell<bool>>);
 
 impl SharedFlag {
     /// Create an unset flag.
@@ -196,10 +189,10 @@ impl SharedFlag {
     }
     /// Raise the flag.
     pub fn set(&self) {
-        self.0.store(true, Ordering::SeqCst);
+        self.0.set(true);
     }
     /// Read the flag.
     pub fn get(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
+        self.0.get()
     }
 }

@@ -1,8 +1,7 @@
 //! Completion tokens connecting model event handlers to parked processes.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use crate::kernel::SimCtx;
 use crate::process::Pid;
@@ -20,11 +19,11 @@ use crate::time::SimTime;
 #[derive(Debug)]
 pub struct Reply<R> {
     pid: Pid,
-    slot: Arc<Mutex<Option<R>>>,
+    slot: Rc<RefCell<Option<R>>>,
 }
 
-impl<R: Send + 'static> Reply<R> {
-    pub(crate) fn new(pid: Pid, slot: Arc<Mutex<Option<R>>>) -> Self {
+impl<R: 'static> Reply<R> {
+    pub(crate) fn new(pid: Pid, slot: Rc<RefCell<Option<R>>>) -> Self {
         Reply { pid, slot }
     }
 
@@ -35,14 +34,14 @@ impl<R: Send + 'static> Reply<R> {
 
     /// Deliver `value` and wake the process at the current event time.
     pub fn complete(self, sc: &SimCtx, value: R) {
-        *self.slot.lock() = Some(value);
+        *self.slot.borrow_mut() = Some(value);
         sc.resume(self.pid);
     }
 
     /// Deliver `value` and wake the process at the (future) time `at`.
     pub fn complete_at(self, sc: &SimCtx, at: SimTime, value: R) {
         let Reply { pid, slot } = self;
-        *slot.lock() = Some(value);
+        *slot.borrow_mut() = Some(value);
         sc.resume_at(pid, at);
     }
 }

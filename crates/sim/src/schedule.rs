@@ -87,7 +87,7 @@ pub struct StepRecord {
 /// return value is clamped to the candidate range. Implementations must be
 /// deterministic functions of their own state and the presented candidates
 /// — the kernel replays a run by replaying the policy.
-pub trait SchedulePolicy: Send {
+pub trait SchedulePolicy {
     /// Pick the index of the candidate to execute next.
     fn choose(&mut self, time: SimTime, candidates: &[Candidate]) -> usize;
 }

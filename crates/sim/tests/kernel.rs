@@ -6,9 +6,8 @@
 //! the coroutine kernel, and both backends produced exactly these values;
 //! the numbers now pin that equivalence without the second backend.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use ftmpi_sim::{ProcessExit, Reply, Sim, SimDuration, SimError, SimTime};
 
@@ -23,15 +22,15 @@ fn empty_simulation_completes_at_time_zero() {
 #[test]
 fn scheduled_closures_run_in_time_order() {
     let mut sim = Sim::new();
-    let log: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
+    let log: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
     for &t in &[30u64, 10, 20] {
-        let log = Arc::clone(&log);
+        let log = Rc::clone(&log);
         sim.schedule(SimTime::from_nanos(t), move |sc| {
-            log.lock().push(sc.now().as_nanos());
+            log.borrow_mut().push(sc.now().as_nanos());
         });
     }
     let report = sim.run().unwrap();
-    assert_eq!(*log.lock(), vec![10, 20, 30]);
+    assert_eq!(*log.borrow_mut(), vec![10, 20, 30]);
     assert_eq!(report.final_time, SimTime::from_nanos(30));
 }
 
@@ -55,19 +54,19 @@ fn lazy_compute_advances_virtual_time_without_events() {
 #[test]
 fn sleep_interleaves_processes_deterministically() {
     let mut sim = Sim::new();
-    let log: Arc<Mutex<Vec<(String, u64)>>> = Arc::new(Mutex::new(Vec::new()));
+    let log: Rc<RefCell<Vec<(String, u64)>>> = Rc::new(RefCell::new(Vec::new()));
     for (name, step) in [("a", 3u64), ("b", 5u64)] {
-        let log = Arc::clone(&log);
+        let log = Rc::clone(&log);
         sim.spawn(name, move |mut ctx| async move {
             for _ in 0..3 {
                 ctx.sleep(SimDuration::from_secs(step)).await;
-                log.lock()
+                log.borrow_mut()
                     .push((ctx.name().to_string(), ctx.now().as_nanos() / 1_000_000_000));
             }
         });
     }
     sim.run().unwrap();
-    let got = log.lock().clone();
+    let got = log.borrow_mut().clone();
     let expect = vec![
         ("a".to_string(), 3),
         ("b".to_string(), 5),
@@ -90,13 +89,13 @@ struct Mailbox {
 #[test]
 fn reply_wakes_parked_process_with_value() {
     let mut sim = Sim::new();
-    let mbox: Arc<Mutex<Mailbox>> = Arc::new(Mutex::new(Mailbox::default()));
+    let mbox: Rc<RefCell<Mailbox>> = Rc::new(RefCell::new(Mailbox::default()));
 
-    let mb = Arc::clone(&mbox);
+    let mb = Rc::clone(&mbox);
     sim.spawn("receiver", move |mut ctx| async move {
         let got = ctx
             .exec::<u64, _>(move |sc, reply| {
-                let mut m = mb.lock();
+                let mut m = mb.borrow_mut();
                 if let Some(v) = m.value.take() {
                     reply.complete(sc, v);
                 } else {
@@ -108,9 +107,9 @@ fn reply_wakes_parked_process_with_value() {
         assert_eq!(ctx.now(), SimTime::from_nanos(7));
     });
 
-    let mb = Arc::clone(&mbox);
+    let mb = Rc::clone(&mbox);
     sim.schedule(SimTime::from_nanos(7), move |sc| {
-        let mut m = mb.lock();
+        let mut m = mb.borrow_mut();
         if let Some(w) = m.waiter.take() {
             w.complete(sc, 42);
         } else {
@@ -297,16 +296,16 @@ fn trace_collects_lifecycle_events() {
 #[test]
 fn many_processes_scale() {
     let mut sim = Sim::new();
-    let counter = Arc::new(Mutex::new(0u64));
+    let counter = Rc::new(RefCell::new(0u64));
     for i in 0..600 {
-        let c = Arc::clone(&counter);
+        let c = Rc::clone(&counter);
         sim.spawn(format!("w{i}"), move |mut ctx| async move {
             ctx.sleep(SimDuration::from_nanos(i)).await;
-            *c.lock() += 1;
+            *c.borrow_mut() += 1;
         });
     }
     sim.run().unwrap();
-    assert_eq!(*counter.lock(), 600);
+    assert_eq!(*counter.borrow_mut(), 600);
 }
 
 /// Coroutine processes cost no OS thread: 50k sleepers complete on the
@@ -315,16 +314,16 @@ fn many_processes_scale() {
 #[test]
 fn kernel_hosts_tens_of_thousands_of_processes() {
     let mut sim = Sim::new();
-    let counter = Arc::new(Mutex::new(0u64));
+    let counter = Rc::new(RefCell::new(0u64));
     for i in 0..50_000u64 {
-        let c = Arc::clone(&counter);
+        let c = Rc::clone(&counter);
         sim.spawn(format!("w{i}"), move |mut ctx| async move {
             ctx.sleep(SimDuration::from_nanos(1 + i % 97)).await;
-            *c.lock() += 1;
+            *c.borrow_mut() += 1;
         });
     }
     sim.run().unwrap();
-    assert_eq!(*counter.lock(), 50_000);
+    assert_eq!(*counter.borrow_mut(), 50_000);
 }
 
 /// Kill/respawn churn: pids stay sequential and are never reused, killed
@@ -334,13 +333,13 @@ fn kernel_hosts_tens_of_thousands_of_processes() {
 #[test]
 fn kill_respawn_churn_keeps_pids_distinct() {
     let mut sim = Sim::new();
-    let finished: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
+    let finished: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
     let mut pids = Vec::new();
     for i in 0..8u64 {
-        let f = Arc::clone(&finished);
+        let f = Rc::clone(&finished);
         pids.push(sim.spawn(format!("gen0-{i}"), move |mut ctx| async move {
             ctx.sleep(SimDuration::from_secs(10)).await;
-            f.lock().push(i);
+            f.borrow_mut().push(i);
         }));
     }
     // Allocation is strictly increasing (pids are sequential, never reused).
@@ -351,7 +350,7 @@ fn kill_respawn_churn_keeps_pids_distinct() {
     let victims: Vec<_> = pids.iter().copied().skip(1).step_by(2).collect();
     let survivors: Vec<_> = pids.iter().copied().step_by(2).collect();
     let v2 = victims.clone();
-    let f = Arc::clone(&finished);
+    let f = Rc::clone(&finished);
     sim.schedule(SimTime::from_nanos(5), move |sc| {
         for pid in &v2 {
             assert!(sc.is_alive(*pid));
@@ -362,7 +361,7 @@ fn kill_respawn_churn_keeps_pids_distinct() {
             let f = f.clone();
             let new = sc.spawn(format!("gen1-{k}"), move |mut ctx| async move {
                 ctx.sleep(SimDuration::from_secs(1)).await;
-                f.lock().push(100 + k as u64);
+                f.borrow_mut().push(100 + k as u64);
             });
             assert!(new > *pid, "pid {new} reused or preceded {pid}");
         }
@@ -384,7 +383,7 @@ fn kill_respawn_churn_keeps_pids_distinct() {
             .map(|(_, _, e)| e.clone());
         assert_eq!(exit, Some(ProcessExit::Normal), "{pid}");
     }
-    let mut done = finished.lock().clone();
+    let mut done = finished.borrow_mut().clone();
     done.sort_unstable();
     assert_eq!(done, vec![0, 2, 4, 6, 100, 101, 102, 103]);
 }
@@ -466,13 +465,13 @@ fn mixed_workload_report_matches_golden() {
     fn run() -> (u64, u64, Vec<(String, ProcessExit)>, usize) {
         let mut sim = Sim::new();
         sim.enable_trace();
-        let log: Arc<Mutex<Vec<(String, u64)>>> = Arc::new(Mutex::new(Vec::new()));
+        let log: Rc<RefCell<Vec<(String, u64)>>> = Rc::new(RefCell::new(Vec::new()));
         for (name, step) in [("a", 3u64), ("b", 5u64), ("c", 7u64)] {
-            let log = Arc::clone(&log);
+            let log = Rc::clone(&log);
             sim.spawn(name, move |mut ctx| async move {
                 for _ in 0..4 {
                     ctx.sleep(SimDuration::from_secs(step)).await;
-                    log.lock()
+                    log.borrow_mut()
                         .push((ctx.name().to_string(), ctx.now().as_nanos()));
                 }
             });
@@ -595,14 +594,14 @@ fn kill_before_first_wake_drops_the_unstarted_process() {
 /// Counts how many times a process's future-held local is dropped, and
 /// records the kernel-visible instant of the (last) drop.
 struct DropGuard {
-    drops: Arc<Mutex<Vec<u64>>>,
-    clock: Arc<Mutex<u64>>,
+    drops: Rc<RefCell<Vec<u64>>>,
+    clock: Rc<RefCell<u64>>,
 }
 
 impl Drop for DropGuard {
     fn drop(&mut self) {
-        let at = *self.clock.lock();
-        self.drops.lock().push(at);
+        let at = *self.clock.borrow_mut();
+        self.drops.borrow_mut().push(at);
     }
 }
 
@@ -612,30 +611,34 @@ impl Drop for DropGuard {
 #[test]
 fn kill_while_suspended_drops_locals_once_at_the_kill_instant() {
     let mut sim = Sim::new();
-    let drops: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
+    let drops: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
     // Mirror of the kernel clock, advanced by the model events below.
-    let clock = Arc::new(Mutex::new(0u64));
+    let clock = Rc::new(RefCell::new(0u64));
     let guard = DropGuard {
-        drops: Arc::clone(&drops),
-        clock: Arc::clone(&clock),
+        drops: Rc::clone(&drops),
+        clock: Rc::clone(&clock),
     };
     let victim = sim.spawn("victim", move |mut ctx| async move {
         let _guard = guard;
         ctx.sleep(SimDuration::from_secs(100)).await;
         unreachable!("killed while suspended");
     });
-    let c = Arc::clone(&clock);
+    let c = Rc::clone(&clock);
     sim.schedule(SimTime::from_nanos(40), move |sc| {
-        *c.lock() = sc.now().as_nanos();
+        *c.borrow_mut() = sc.now().as_nanos();
         sc.kill(victim);
     });
-    let (c, d) = (Arc::clone(&clock), Arc::clone(&drops));
+    let (c, d) = (Rc::clone(&clock), Rc::clone(&drops));
     sim.schedule(SimTime::from_nanos(41), move |sc| {
-        *c.lock() = sc.now().as_nanos();
-        assert_eq!(*d.lock(), vec![40], "future not dropped at the kill");
+        *c.borrow_mut() = sc.now().as_nanos();
+        assert_eq!(*d.borrow_mut(), vec![40], "future not dropped at the kill");
     });
     let report = sim.run().unwrap();
-    assert_eq!(*drops.lock(), vec![40], "locals dropped more than once");
+    assert_eq!(
+        *drops.borrow_mut(),
+        vec![40],
+        "locals dropped more than once"
+    );
     assert!(report
         .exits
         .iter()
@@ -649,12 +652,12 @@ fn kill_while_suspended_drops_locals_once_at_the_kill_instant() {
 fn teardown_at_the_horizon_drops_parked_futures() {
     let mut sim = Sim::new();
     sim.set_max_time(SimTime::from_nanos(1_000));
-    let drops: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-    let clock = Arc::new(Mutex::new(0u64));
+    let drops: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
+    let clock = Rc::new(RefCell::new(0u64));
     for i in 0..3u64 {
         let guard = DropGuard {
-            drops: Arc::clone(&drops),
-            clock: Arc::clone(&clock),
+            drops: Rc::clone(&drops),
+            clock: Rc::clone(&clock),
         };
         sim.spawn(format!("parked{i}"), move |mut ctx| async move {
             let _guard = guard;
@@ -665,20 +668,20 @@ fn teardown_at_the_horizon_drops_parked_futures() {
     // Spawned past the horizon: never started, its closure (and the guard
     // it captured) is dropped unstarted.
     let guard = DropGuard {
-        drops: Arc::clone(&drops),
-        clock: Arc::clone(&clock),
+        drops: Rc::clone(&drops),
+        clock: Rc::clone(&clock),
     };
     sim.spawn_at(SimTime::from_nanos(5_000), "late", move |_ctx| async move {
         let _guard = guard;
         unreachable!("starts past the horizon");
     });
-    let c = Arc::clone(&clock);
+    let c = Rc::clone(&clock);
     sim.schedule(SimTime::from_nanos(1_000), move |sc| {
-        *c.lock() = sc.now().as_nanos();
+        *c.borrow_mut() = sc.now().as_nanos();
     });
     let report = sim.run().unwrap();
     assert!(report.stopped);
-    assert_eq!(*drops.lock(), vec![1_000; 4]);
+    assert_eq!(*drops.borrow_mut(), vec![1_000; 4]);
     let killed = report
         .exits
         .iter()

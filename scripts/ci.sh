@@ -27,6 +27,9 @@ cargo run -q --release -p ftmpi-check -- lint
 echo "==> ftmpi-check smoke (invariants + perturbation)"
 cargo run -q --release -p ftmpi-check -- smoke
 
+echo "==> ftmpi-check figures --full (paper-sized figure workloads, checked)"
+cargo run -q --release -p ftmpi-check -- figures --full
+
 echo "==> ftmpi-check storm --smoke (kills, partitions, node deaths, corruption)"
 # Outputs pinned by scripts/golden.sha256 are collected here and checked
 # after the fig5 cache round trip.
@@ -59,8 +62,8 @@ cp results/storm/corpus.txt "$DIFF_TMP/mine-1-corpus.txt"
 grep -q "corrupt@" "$DIFF_TMP/mine-1-corpus.txt"
 grep -q "rot@" "$DIFF_TMP/mine-1-corpus.txt"
 
-echo "==> storm --mine --smoke under the heap backend (must be byte-identical)"
-FTMPI_NO_LADDER=1 cargo run -q --release -p ftmpi-check -- storm --mine --smoke \
+echo "==> storm --mine --smoke again (must be byte-identical)"
+cargo run -q --release -p ftmpi-check -- storm --mine --smoke \
     > "$DIFF_TMP/mine-2.log"
 cmp "$DIFF_TMP/mine-1.log" "$DIFF_TMP/mine-2.log"
 cmp "$DIFF_TMP/mine-1.json" BENCH_storm.json
@@ -95,11 +98,10 @@ cargo run -q --release -p ftmpi-bench --bin fig5_servers -- \
     --fast --out "$CACHE_TMP/results" > "$CACHE_TMP/warm.log"
 grep -q "/ 0 misses" "$CACHE_TMP/warm.log"
 cmp "$CACHE_TMP/cold.json" "$CACHE_TMP/results/fig5.json"
-# Ladder, batching, and cache off: the figure must still be
-# byte-identical — the heap backend and unbatched flows are the reference
-# semantics, not a degraded mode.
+# Batching and cache off: the figure must still be byte-identical —
+# unbatched flows are the reference semantics, not a degraded mode.
 rm "$CACHE_TMP/results/fig5.json"
-FTMPI_NO_LADDER=1 FTMPI_NO_BATCH=1 FTMPI_NO_CACHE=1 \
+FTMPI_NO_BATCH=1 FTMPI_NO_CACHE=1 \
     cargo run -q --release -p ftmpi-bench --bin fig5_servers -- \
     --fast --out "$CACHE_TMP/results" > "$CACHE_TMP/plain.log"
 cmp "$CACHE_TMP/cold.json" "$CACHE_TMP/results/fig5.json"
@@ -121,7 +123,7 @@ cargo run -q --release -p ftmpi-bench --bin calibrate -- \
 grep -q "6 hits (6 from disk) / 0 misses" "$SEED_TMP.log"
 rm -rf "$SEED_TMP" "$SEED_TMP.log"
 
-echo "==> kernel microbench (ladder vs heap, BENCH_kernel.json)"
+echo "==> kernel microbench (event queue, BENCH_kernel.json)"
 cargo run -q --release -p ftmpi-bench --bin kernel_bench -- --quick
 
 echo "==> rank-scale bench (512-rank and 10^5-rank runs, BENCH_scale.json)"
