@@ -1,9 +1,10 @@
-//! Kernel event-queue microbenchmark: the ladder queue's throughput across
-//! the four event-time densities the kernel actually sees (same-instant
-//! marker storms, near-time chunked flows, wide-spread timers, and the
-//! long-horizon population of a 10⁵-rank job), plus one end-to-end anchor:
-//! a cold `fig5_servers --fast` wall measurement, so a queue change is
-//! judged in figure time, not just in queue ops.
+//! `ftmpi-bench kernel`: event-queue microbenchmark. Measures the ladder
+//! queue's throughput across the four event-time densities the kernel
+//! actually sees (same-instant marker storms, near-time chunked flows,
+//! wide-spread timers, and the long-horizon population of a 10⁵-rank job),
+//! plus one end-to-end anchor: a cold `fig5_servers --fast` wall
+//! measurement, so a queue change is judged in figure time, not just in
+//! queue ops.
 //!
 //! The deterministic op driver lives in [`ftmpi_sim::microbench`] (the sim
 //! crates forbid wall-clock reads, so the timing lives here); it is
@@ -14,7 +15,7 @@
 //! repository root).
 //!
 //! ```sh
-//! cargo run --release -p ftmpi-bench --bin kernel_bench [-- --quick]
+//! cargo run --release -p ftmpi-bench -- kernel [--quick]
 //! ```
 
 use std::time::Instant;
@@ -60,8 +61,7 @@ fn fig5_cold_wall() -> f64 {
     wall
 }
 
-fn main() {
-    let quick = std::env::args().skip(1).any(|a| a == "--quick");
+pub fn run(quick: bool) {
     let (ops, reps) = if quick {
         (200_000u64, 3)
     } else {

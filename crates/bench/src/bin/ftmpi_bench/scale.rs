@@ -1,5 +1,5 @@
-//! Rank-scale benchmark: events/s of the coroutine kernel from a moderate
-//! ring up to 10⁵-rank topologies.
+//! `ftmpi-bench scale`: rank-scale benchmark. Measures events/s of the
+//! coroutine kernel from a moderate ring up to 10⁵-rank topologies.
 //!
 //! Two campaigns, both under the uncoordinated message-logging protocol
 //! (per-rank staggered checkpoints keep the wave machinery O(n)):
@@ -18,7 +18,7 @@
 //! instead of only writing different numbers.
 //!
 //! ```sh
-//! cargo run --release -p ftmpi-bench --bin scale_bench [-- --quick]
+//! cargo run --release -p ftmpi-bench -- scale [--quick]
 //! ```
 
 use std::time::Instant;
@@ -162,8 +162,7 @@ fn print_row(label: &str, m: &Measured) {
     );
 }
 
-fn main() {
-    let quick = std::env::args().skip(1).any(|a| a == "--quick");
+pub fn run(quick: bool) {
     let mut records: Vec<JsonObject> = Vec::new();
 
     // Campaign 1: moderate-scale ring jobs.

@@ -1,11 +1,12 @@
-//! One module per figure/table harness; the binaries in `src/bin/` are
-//! thin wrappers around these.
+//! One module per figure/table harness, listed in the registry [`ALL`]
+//! that the `ftmpi-bench fig <name>` subcommand dispatches on.
 //!
 //! Every module exposes `run(args, cache)`: it queues the figure's jobs on
 //! a [`SweepRunner`](crate::SweepRunner) honouring `--jobs`, then renders
-//! tables and JSON records from the in-order results. `all_figures` calls
-//! them all in one process against one shared [`MemoCache`](crate::MemoCache),
-//! so configurations shared across figures are simulated once.
+//! tables and JSON records from the in-order results. `ftmpi-bench fig all`
+//! calls them all in one process against one shared
+//! [`MemoCache`](crate::MemoCache), so configurations shared across
+//! figures are simulated once.
 
 use std::sync::Arc;
 
@@ -32,17 +33,7 @@ pub mod recovery_cost;
 /// Signature every figure harness implements.
 pub type FigureFn = fn(&HarnessArgs, &Arc<MemoCache>);
 
-/// Shared `main()` body for the thin per-figure binaries: parse the CLI,
-/// open the persistent cache under `<out>/.cache/`, run the figure, then
-/// report cache effectiveness.
-pub fn run_standalone(run: FigureFn) {
-    let args = HarnessArgs::parse();
-    let cache = args.cache();
-    run(&args, &cache);
-    println!("\n{}", cache.summary());
-}
-
-/// Every harness, in the order `all_figures` runs them.
+/// Every harness by subcommand name, in the order `fig all` runs them.
 pub const ALL: &[(&str, FigureFn)] = &[
     ("calibrate", calibrate::run),
     ("fig5_servers", fig5_servers::run),

@@ -1,11 +1,12 @@
-//! Experiment harness shared by the figure-regeneration binaries.
+//! Experiment harness regenerating the paper's tables and figures.
 //!
-//! Every binary in `src/bin/` reproduces one table or figure of the paper
-//! (see DESIGN.md §3 for the index). This library holds what they share:
-//! experiment records, an aligned-table printer, JSON persistence under
-//! `results/`, spec builders for the paper's standard configurations, the
-//! parallel [`sweep`] engine every harness runs on, and the [`figures`]
-//! modules the thin binaries delegate to.
+//! Every module in [`figures`] reproduces one table or figure of the paper
+//! (see DESIGN.md §3 for the index); the `ftmpi-bench fig <name>`
+//! subcommand runs one, `ftmpi-bench fig all` runs them all. This library
+//! holds what they share: experiment records, an aligned-table printer,
+//! JSON persistence under `results/`, spec builders for the paper's
+//! standard configurations, and the parallel [`sweep`] engine every
+//! harness runs on.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -144,22 +145,9 @@ impl Default for HarnessArgs {
     }
 }
 
-const USAGE: &str = "supported flags: --fast | --full | --out DIR | --jobs N";
-
 impl HarnessArgs {
-    /// Parse `std::env::args`; prints a usage message and exits non-zero on
-    /// unknown or malformed flags.
-    pub fn parse() -> HarnessArgs {
-        match Self::parse_from(std::env::args().skip(1)) {
-            Ok(args) => args,
-            Err(msg) => {
-                eprintln!("error: {msg}\n{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// Flag parsing proper, separated from process exit for testing.
+    /// Parse the figure flags (`--fast | --full | --out DIR | --jobs N`);
+    /// unknown or malformed flags are an error, never a panic.
     pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<HarnessArgs, String> {
         let mut out = HarnessArgs::default();
         let mut args = args.into_iter();

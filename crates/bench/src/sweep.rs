@@ -1,6 +1,6 @@
 //! Parallel experiment engine.
 //!
-//! Every figure/table binary reproduces a paper sweep by running dozens of
+//! Every figure/table harness reproduces a paper sweep by running dozens of
 //! independent jobs — each with its own [`Sim`](ftmpi_sim::Sim), `World`
 //! and network model. [`SweepRunner`] executes them on a bounded worker
 //! pool and returns results **in input order**, so tables and JSON records
@@ -12,8 +12,9 @@
 //! admission control beyond the worker count.
 //!
 //! A [`MemoCache`] keyed by a deterministic spec fingerprint lets callers
-//! skip re-simulating configurations shared across figures (`all_figures`
-//! runs every harness in one process against one cache). With
+//! skip re-simulating configurations shared across figures
+//! (`ftmpi-bench fig all` runs every harness in one process against one
+//! cache). With
 //! [`MemoCache::persistent`] the cache gains a disk tier (one file per
 //! fingerprint, written atomically) shared across processes: a warm rerun
 //! of a figure performs zero simulations.
@@ -276,14 +277,18 @@ fn key_hash(key: &str) -> String {
     )
 }
 
-/// Validate one cache-entry file body: version header, namespace kind, full
+/// File name of the entry for `key`: `r-` (a job result) plus the key hash.
+fn entry_name(key: &str) -> String {
+    format!("r-{}", key_hash(key))
+}
+
+/// Validate one cache-entry file body: version header, entry kind, full
 /// fingerprint (hash collisions are detected, not trusted), and payload
 /// length must all match. Shared by the writable disk tier and the
 /// read-only seed tier; the caller decides what a failure means (delete
 /// vs. ignore).
-fn validate_entry(text: &str, kind: &str, key: &str) -> Option<String> {
-    let rest = text.strip_prefix(CACHE_VERSION)?.strip_prefix('\n')?;
-    let rest = rest.strip_prefix("kind=")?.strip_prefix(kind)?;
+fn validate_entry(text: &str, key: &str) -> Option<String> {
+    let rest = text.strip_prefix(CACHE_VERSION)?.strip_prefix("\nkind=r")?;
     let rest = rest.strip_prefix("\nkey=")?.strip_prefix(key)?;
     let rest = rest.strip_prefix("\nlen=")?;
     let (len_line, payload) = rest.split_once('\n')?;
@@ -304,16 +309,9 @@ fn validate_entry(text: &str, kind: &str, key: &str) -> Option<String> {
 /// sharing the directory can only ever observe complete entries; anything
 /// that fails validation — truncated, bit-flipped, version-mismatched —
 /// is deleted and recomputed, never an error.
-///
-/// A second namespace of free-form *blobs* ([`MemoCache::get_blob`] /
-/// [`MemoCache::put_blob`]) serves sweeps whose product is not a
-/// [`JobResult`] — e.g. the NetPIPE harness caches its sample series, which
-/// a plain result memo could not capture (the samples live in a side
-/// channel filled during the run).
 #[derive(Default)]
 pub struct MemoCache {
     map: Mutex<HashMap<String, JobResult>>,
-    blobs: Mutex<HashMap<String, String>>,
     disk: Option<PathBuf>,
     /// Read-only fallback tier: entries committed to the repository (the
     /// calibration tables), consulted after a disk miss. Never written,
@@ -327,7 +325,8 @@ pub struct MemoCache {
 
 /// Repository-committed seed entries (see [`MemoCache::persistent`]): the
 /// calibration-table results, so a cold checkout prices its first
-/// `calibrate` run at decode cost instead of minutes of simulation.
+/// `calibrate` run at decode cost (~5 ms) instead of simulation (2.4–2.8 s
+/// cold with `FTMPI_NO_CACHE=1` on a 2-vCPU host).
 const SEED_CACHE_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/data/calibration-cache");
 
 impl MemoCache {
@@ -371,7 +370,7 @@ impl MemoCache {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Some(r);
         }
-        if let Some(payload) = self.load_disk("r", key) {
+        if let Some(payload) = self.load_disk(key) {
             match JobResult::decode(&payload) {
                 Some(result) => {
                     self.map
@@ -382,15 +381,15 @@ impl MemoCache {
                     self.disk_hits.fetch_add(1, Ordering::Relaxed);
                     return Some(result);
                 }
-                None => self.discard_disk("r", key),
+                None => self.discard_disk(key),
             }
         }
-        if let Some(payload) = self.load_seed("r", key) {
+        if let Some(payload) = self.load_seed(key) {
             if let Some(result) = JobResult::decode(&payload) {
                 // Promote into memory and write through to the local disk
                 // tier so later processes against the same out dir hit it
                 // without touching the seeds.
-                self.store_disk("r", key, &payload);
+                self.store_disk(key, &payload);
                 self.map
                     .lock()
                     .unwrap()
@@ -407,49 +406,19 @@ impl MemoCache {
     /// Store a successful result under its fingerprint (and on disk, for
     /// persistent caches).
     pub fn put(&self, key: String, result: JobResult) {
-        self.store_disk("r", &key, &result.encode());
+        self.store_disk(&key, &result.encode());
         self.map.lock().unwrap().insert(key, result);
     }
 
-    /// Look up a free-form blob (see the type docs), counting the hit/miss.
-    pub fn get_blob(&self, key: &str) -> Option<String> {
-        if let Some(b) = self.blobs.lock().unwrap().get(key).cloned() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Some(b);
-        }
-        if let Some(payload) = self
-            .load_disk("b", key)
-            .or_else(|| self.load_seed("b", key))
-        {
-            self.blobs
-                .lock()
-                .unwrap()
-                .insert(key.to_string(), payload.clone());
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            self.disk_hits.fetch_add(1, Ordering::Relaxed);
-            return Some(payload);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
-    }
-
-    /// Store a free-form blob under a fingerprint-style key.
-    pub fn put_blob(&self, key: String, payload: String) {
-        self.store_disk("b", &key, &payload);
-        self.blobs.lock().unwrap().insert(key, payload);
-    }
-
-    fn cache_path(&self, kind: &str, key: &str) -> Option<PathBuf> {
-        self.disk
-            .as_ref()
-            .map(|dir| dir.join(format!("{kind}-{}", key_hash(key))))
+    fn cache_path(&self, key: &str) -> Option<PathBuf> {
+        self.disk.as_ref().map(|dir| dir.join(entry_name(key)))
     }
 
     /// Read and validate one disk entry; corrupt entries are deleted.
-    fn load_disk(&self, kind: &str, key: &str) -> Option<String> {
-        let path = self.cache_path(kind, key)?;
+    fn load_disk(&self, key: &str) -> Option<String> {
+        let path = self.cache_path(key)?;
         let text = std::fs::read_to_string(&path).ok()?;
-        let parsed = validate_entry(&text, kind, key);
+        let parsed = validate_entry(&text, key);
         if parsed.is_none() {
             let _ = std::fs::remove_file(&path);
         }
@@ -460,27 +429,25 @@ impl MemoCache {
     /// corrupt, truncated, or version-mismatched seed (e.g. one committed
     /// before an encoding bump) fails validation and is *ignored* — the
     /// result is recomputed — never deleted.
-    fn load_seed(&self, kind: &str, key: &str) -> Option<String> {
+    fn load_seed(&self, key: &str) -> Option<String> {
         let dir = self.seed.as_ref()?;
-        let text = std::fs::read_to_string(dir.join(format!("{kind}-{}", key_hash(key)))).ok()?;
-        validate_entry(&text, kind, key)
+        let text = std::fs::read_to_string(dir.join(entry_name(key))).ok()?;
+        validate_entry(&text, key)
     }
 
-    fn discard_disk(&self, kind: &str, key: &str) {
-        if let Some(path) = self.cache_path(kind, key) {
+    fn discard_disk(&self, key: &str) {
+        if let Some(path) = self.cache_path(key) {
             let _ = std::fs::remove_file(path);
         }
     }
 
     /// Best-effort atomic write: failures (full disk, bad permissions) just
     /// mean the entry stays memory-only.
-    fn store_disk(&self, kind: &str, key: &str, payload: &str) {
+    fn store_disk(&self, key: &str, payload: &str) {
         let Some(dir) = self.disk.as_ref() else {
             return;
         };
-        let Some(path) = self.cache_path(kind, key) else {
-            return;
-        };
+        let path = dir.join(entry_name(key));
         if std::fs::create_dir_all(dir).is_err() {
             return;
         }
@@ -491,7 +458,7 @@ impl MemoCache {
             TMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         let entry = format!(
-            "{CACHE_VERSION}\nkind={kind}\nkey={key}\nlen={}\n{payload}",
+            "{CACHE_VERSION}\nkind=r\nkey={key}\nlen={}\n{payload}",
             payload.len()
         );
         if std::fs::write(&tmp, entry).is_ok() {
@@ -501,8 +468,7 @@ impl MemoCache {
         }
     }
 
-    /// `(hits, misses)` counters since creation (blob lookups included;
-    /// disk hits count as hits).
+    /// `(hits, misses)` counters since creation (disk hits count as hits).
     pub fn stats(&self) -> (u64, u64) {
         (
             self.hits.load(Ordering::Relaxed),
@@ -515,7 +481,7 @@ impl MemoCache {
         self.disk_hits.load(Ordering::Relaxed)
     }
 
-    /// Number of cached configurations in memory (blobs not counted).
+    /// Number of cached configurations in memory.
     pub fn len(&self) -> usize {
         self.map.lock().unwrap().len()
     }
@@ -525,7 +491,7 @@ impl MemoCache {
         self.map.lock().unwrap().is_empty()
     }
 
-    /// One-line human summary, printed by the bench binaries (and grepped
+    /// One-line human summary, printed after every figure run (and grepped
     /// by the CI cache round-trip check).
     pub fn summary(&self) -> String {
         let (hits, misses) = self.stats();
@@ -557,8 +523,10 @@ pub struct PruneReport {
 /// entry that fails validation (wrong version header, filename not matching
 /// its own `key=` hash, truncated payload), then — if `max_bytes` is given —
 /// evict oldest-modified valid entries until the directory fits the budget.
+/// Entries of the retired `b-` (free-form blob) kind are stale by
+/// definition and always deleted.
 ///
-/// Files not recognizably ours (no `r-`/`b-`/` .tmp-` prefix) are counted
+/// Files not recognizably ours (no `r-`/`b-`/`.tmp-` prefix) are counted
 /// in `scanned` but never touched. A missing directory is an empty, already
 /// pruned cache, not an error.
 pub fn prune_cache(dir: &std::path::Path, max_bytes: Option<u64>) -> std::io::Result<PruneReport> {
@@ -580,31 +548,25 @@ pub fn prune_cache(dir: &std::path::Path, max_bytes: Option<u64>) -> std::io::Re
         report.bytes_before += meta.len();
         let name = entry.file_name();
         let name = name.to_string_lossy();
-        if name.starts_with(".tmp-") {
-            // A crashed writer's leftover: atomic renames never leave these.
+        if name.starts_with(".tmp-") || name.starts_with("b-") {
+            // A crashed writer's leftover (atomic renames never leave
+            // these) or a retired blob entry.
             if std::fs::remove_file(&path).is_ok() {
                 report.removed += 1;
             }
             continue;
         }
-        let Some(kind) = name
-            .starts_with("r-")
-            .then_some("r")
-            .or_else(|| name.starts_with("b-").then_some("b"))
-        else {
+        if !name.starts_with("r-") {
             continue; // not ours; leave it alone (but it was scanned)
-        };
+        }
+        // Valid means: filed under the hash of the key it names, and
+        // validating against that key.
         let ok = std::fs::read_to_string(&path).ok().is_some_and(|text| {
-            (|| {
-                let rest = text.strip_prefix(CACHE_VERSION)?.strip_prefix('\n')?;
-                let rest = rest.strip_prefix("kind=")?.strip_prefix(kind)?;
-                let rest = rest.strip_prefix("\nkey=")?;
-                let (key, rest) = rest.split_once("\nlen=")?;
-                let (len_line, payload) = rest.split_once('\n')?;
-                let len: usize = len_line.parse().ok()?;
-                (payload.len() == len && name == format!("{kind}-{}", key_hash(key))).then_some(())
-            })()
-            .is_some()
+            let key = text
+                .split_once("\nkey=")
+                .and_then(|(_, rest)| rest.split_once("\nlen="))
+                .map(|(key, _)| key);
+            key.is_some_and(|key| name == entry_name(key) && validate_entry(&text, key).is_some())
         });
         if ok {
             let mtime = meta.modified().unwrap_or(std::time::SystemTime::UNIX_EPOCH);
@@ -1033,55 +995,54 @@ mod tests {
         assert_eq!(warm.encode(), first.encode());
     }
 
-    #[test]
-    fn blob_tier_roundtrips_across_instances() {
-        let scratch = ScratchDir::new("blob");
-        let payload = "1,2,3\n4,5,6\n".to_string();
-        MemoCache::persistent(&scratch.0).put_blob("np/k".into(), payload.clone());
-        let cache = MemoCache::persistent(&scratch.0);
-        assert_eq!(cache.get_blob("np/k").as_deref(), Some(payload.as_str()));
-        assert_eq!(cache.disk_hits(), 1);
+    /// One real result stored under each of `keys` in a persistent cache
+    /// over `dir`.
+    fn store_results(dir: &std::path::Path, keys: &[String]) {
+        let result = run_job(ring_spec(12)).unwrap();
+        let cache = MemoCache::persistent(dir);
+        for key in keys {
+            cache.put(key.clone(), result.clone());
+        }
     }
 
     #[test]
     fn prune_removes_garbage_and_keeps_valid_entries() {
         let scratch = ScratchDir::new("prune");
-        // Two valid entries: one result, one blob.
-        {
-            let cache = MemoCache::persistent(&scratch.0);
-            let mut r = SweepRunner::new(1).with_cache(Arc::clone(&cache));
-            r.add_spec("job", "ring12", ring_spec(12));
-            r.run_detailed().pop().unwrap().result.unwrap();
-            cache.put_blob("np/k".into(), "1,2,3\n".into());
-        }
-        // Garbage: an orphaned temp file, a corrupt entry, a stranger file.
+        let keys: Vec<String> = (12..14)
+            .map(|laps| spec_fingerprint(&format!("ring{laps}"), &ring_spec(laps)))
+            .collect();
+        store_results(&scratch.0, &keys);
+        // Garbage: an orphaned temp file, a corrupt entry, a retired blob
+        // entry, and a stranger file.
         std::fs::write(scratch.0.join(".tmp-999-0"), "half-written").unwrap();
+        std::fs::write(scratch.0.join(entry_name("bogus")), "not a cache entry").unwrap();
         std::fs::write(
-            scratch.0.join(format!("r-{}", key_hash("bogus"))),
-            "not a cache entry",
+            scratch.0.join(format!("b-{}", key_hash("np/k"))),
+            format!("{CACHE_VERSION}\nkind=b\nkey=np/k\nlen=6\n1,2,3\n"),
         )
         .unwrap();
         std::fs::write(scratch.0.join("README"), "hands off").unwrap();
 
         let report = prune_cache(&scratch.0, None).unwrap();
-        assert_eq!(report.scanned, 5);
-        assert_eq!(report.removed, 2, "temp + corrupt go, stranger stays");
+        assert_eq!(report.scanned, 6);
+        assert_eq!(
+            report.removed, 3,
+            "temp, corrupt and blob go, stranger stays"
+        );
         assert_eq!(report.kept, 2);
         assert!(scratch.0.join("README").exists());
         // The surviving entries still decode.
         let cache = MemoCache::persistent(&scratch.0);
-        let key = spec_fingerprint("ring12", &ring_spec(12));
-        assert!(cache.get(&key).is_some());
-        assert_eq!(cache.get_blob("np/k").as_deref(), Some("1,2,3\n"));
+        for key in &keys {
+            assert!(cache.get(key).is_some());
+        }
     }
 
     #[test]
     fn prune_budget_evicts_down_to_max_bytes() {
         let scratch = ScratchDir::new("prune-budget");
-        let cache = MemoCache::persistent(&scratch.0);
-        for i in 0..4u64 {
-            cache.put_blob(format!("blob/{i}"), "x".repeat(64));
-        }
+        let keys: Vec<String> = (0..4).map(|i| format!("ring/{i}")).collect();
+        store_results(&scratch.0, &keys);
         let full = prune_cache(&scratch.0, None).unwrap();
         assert_eq!(full.kept, 4);
         let budget = full.bytes_after / 2;
@@ -1176,7 +1137,7 @@ mod tests {
         let local = ScratchDir::new("seed-corrupt-local");
         let key = spec_fingerprint("ring12", &ring_spec(12));
         std::fs::create_dir_all(&seed.0).unwrap();
-        let path = seed.0.join(format!("r-{}", key_hash(&key)));
+        let path = seed.0.join(entry_name(&key));
         std::fs::write(&path, "not a cache entry").unwrap();
         let cache = MemoCache::persistent_with_seed(local.0.join("cache"), &seed.0);
         assert!(

@@ -91,7 +91,6 @@ const THREAD_SAFETY_NEEDLES: &[&str] = &["parking_lot", "Mutex", "Atomic", "+ Se
 pub const ENV_TOGGLES: &[&str] = &[
     "FTMPI_NO_BATCH",
     "FTMPI_NO_CACHE",
-    "FTMPI_DEBUG",
     "FTMPI_MINE_BUDGET",
     "FTMPI_NO_MINE",
 ];

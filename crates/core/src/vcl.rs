@@ -34,13 +34,6 @@ use crate::flow::{send_control, start_flow, FlowSpec};
 use crate::image::{RankImage, WaveRecord};
 use crate::stats::FtStats;
 
-/// `true` when `FTMPI_DEBUG` is set: image captures and wave commits dump
-/// their message sequence numbers to stderr. Read once per process.
-fn debug_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var("FTMPI_DEBUG").is_ok())
-}
-
 /// In-flight wave state.
 struct VclWave {
     rec: WaveRecord,
@@ -120,20 +113,8 @@ impl Vcl {
         // Fork: the main process pauses for the CoW setup, then computation
         // continues while the clone streams the image.
         rt.add_penalty(r, self.co.cfg.fork_cost);
-        let rs = &rt.ranks[r];
         let credit = rt.capture_credit(r, sc.now());
-        if debug_enabled() {
-            eprintln!(
-                "[vcl] capture r{r} at {} ops={} pending_seqs={:?}",
-                sc.now(),
-                rs.ops_completed,
-                rt.snapshot_pending(r)
-                    .iter()
-                    .map(|m| (m.src, m.seq))
-                    .collect::<Vec<_>>()
-            );
-        }
-        let ops = rs.ops_completed;
+        let ops = rt.ranks[r].ops_completed;
         cur.rec.images[r] = RankImage {
             ops_completed: ops,
             time_credit: credit,
@@ -281,14 +262,6 @@ impl Vcl {
         let Some(done) = self.cur.take() else {
             return;
         };
-        if debug_enabled() {
-            for (d, log) in done.rec.logs.iter().enumerate() {
-                eprintln!(
-                    "[vcl] wave {wave} log[{d}] seqs={:?}",
-                    log.iter().map(|m| (m.src, m.seq)).collect::<Vec<_>>()
-                );
-            }
-        }
         self.co.commit(rt, sc, done.rec);
     }
 }

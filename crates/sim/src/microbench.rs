@@ -2,7 +2,7 @@
 //!
 //! The sim crates forbid wall-clock reads (the determinism lint), so this
 //! module only *drives* a queue through a deterministic operation mix;
-//! `ftmpi-bench`'s `kernel_bench` binary wraps it with timing and emits
+//! the `ftmpi-bench kernel` subcommand wraps it with timing and emits
 //! `BENCH_kernel.json`. Keeping the driver here lets it use the crate-private
 //! [`EventQueue`](crate::event) directly — the benchmark measures the real
 //! queue, tombstones, arena and all, not a stripped-down model of it.
@@ -77,13 +77,17 @@ fn xorshift(s: &mut u64) -> u64 {
 /// compaction triggered at `compact_min_tombstones`.
 ///
 /// Returns a checksum over the popped sequence so the work cannot be
-/// optimized away and so tests can pin the popped sequence.
+/// optimized away and so tests can pin the popped sequence. Each pop's
+/// position in that sequence is folded in, so the checksum pins the order
+/// even where an event's own terms cancel (same-instant pops with no
+/// perturbation seed have `tiekey == seq` at time 0).
 pub fn drive(density: Density, steady: usize, ops: u64, compact_min_tombstones: usize) -> u64 {
     let mut q = EventQueue::default();
     q.set_compact_min_tombstones(compact_min_tombstones);
     let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ (steady as u64) ^ ops.rotate_left(17);
     let mut now = 0u64;
     let mut checksum = 0u64;
+    let mut pops = 0u64;
     let mut recent: Vec<EventId> = Vec::with_capacity(steady.max(1));
     let noop = || EventKind::Call(Box::new(|_| {}));
     for _ in 0..steady {
@@ -105,7 +109,10 @@ pub fn drive(density: Density, steady: usize, ops: u64, compact_min_tombstones: 
         }
         if let Some(ev) = q.pop() {
             now = ev.time.as_nanos();
-            checksum ^= ev.seq.rotate_left((now % 63) as u32) ^ ev.tiekey;
+            pops += 1;
+            let position = pops.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            checksum ^=
+                ev.seq.rotate_left((now % 63) as u32) ^ ev.tiekey ^ ev.seq.wrapping_mul(position);
         }
     }
     checksum
@@ -115,17 +122,17 @@ pub fn drive(density: Density, steady: usize, ops: u64, compact_min_tombstones: 
 mod tests {
     use super::*;
 
-    /// Checksums recorded while a binary-heap backend still ran beside the
-    /// ladder and both popped these exact sequences. `SameTime` reads 0 by
-    /// construction: with no perturbation seed `tiekey == seq` and the
-    /// clock never leaves 0, so each pop's terms cancel.
+    /// Checksums of the ladder's pop sequences. The `NearTime`,
+    /// `WideSpread` and `Horizon` sequences are ones a binary-heap backend,
+    /// run beside the ladder, also produced; `SameTime` was first pinned
+    /// order-sensitively after that backend was gone.
     #[test]
     fn checksums_match_the_pinned_heap_equivalent_values() {
         let pinned = [
-            (Density::SameTime, 0),
-            (Density::NearTime, 0x77b1_6eee_69e3_b796),
-            (Density::WideSpread, 0xa666_8719_2f50_501e),
-            (Density::Horizon, 0xa359_6183_895d_31e5),
+            (Density::SameTime, 0x0938_c99d_0668_b029),
+            (Density::NearTime, 0xbc04_60aa_4974_ac12),
+            (Density::WideSpread, 0x3dcb_3c65_0d50_3622),
+            (Density::Horizon, 0xff3d_a7d0_535a_e8f9),
         ];
         for (density, want) in pinned {
             assert_eq!(

@@ -74,27 +74,38 @@ echo "==> cache prune round trip (ftmpi-bench cache --prune)"
 PRUNE_TMP="${TMPDIR:-/tmp}/ftmpi-ci-prune-$$"
 rm -rf "$PRUNE_TMP"
 mkdir -p "$PRUNE_TMP/results/.cache"
-# An orphaned temp file and a corrupt entry: both must be swept.
+# An orphaned temp file, a corrupt entry and an entry of the retired
+# blob kind: all three must be swept.
 printf 'half-written' > "$PRUNE_TMP/results/.cache/.tmp-123-0"
 printf 'not a cache entry' > "$PRUNE_TMP/results/.cache/r-deadbeef"
-cargo run -q --release -p ftmpi-bench --bin ftmpi-bench -- \
-    cache --prune --out "$PRUNE_TMP/results" | grep -q "removed 2"
+printf 'retired blob' > "$PRUNE_TMP/results/.cache/b-deadbeef"
+cargo run -q --release -p ftmpi-bench -- \
+    cache --prune --out "$PRUNE_TMP/results" | grep -q "removed 3"
 test ! -e "$PRUNE_TMP/results/.cache/.tmp-123-0"
 test ! -e "$PRUNE_TMP/results/.cache/r-deadbeef"
+test ! -e "$PRUNE_TMP/results/.cache/b-deadbeef"
 rm -rf "$PRUNE_TMP"
 
-echo "==> result-cache round trip (fig5_servers cold, then warm from disk)"
+echo "==> ftmpi-bench rejects an unknown figure (usage, exit 2)"
+status=0
+cargo run -q --release -p ftmpi-bench -- fig no_such_figure \
+    2> "$GOLDEN_TMP/usage.log" || status=$?
+test "$status" -eq 2
+grep -q "usage: ftmpi-bench fig <all|calibrate|fig5_servers|" "$GOLDEN_TMP/usage.log"
+rm "$GOLDEN_TMP/usage.log"
+
+echo "==> result-cache round trip (fig fig5_servers cold, then warm from disk)"
 CACHE_TMP="${TMPDIR:-/tmp}/ftmpi-ci-cache-$$"
 rm -rf "$CACHE_TMP"
 mkdir -p "$CACHE_TMP"
-cargo run -q --release -p ftmpi-bench --bin fig5_servers -- \
+cargo run -q --release -p ftmpi-bench -- fig fig5_servers \
     --fast --out "$CACHE_TMP/results" > "$CACHE_TMP/cold.log"
 cp "$CACHE_TMP/results/fig5.json" "$CACHE_TMP/cold.json"
 cp "$CACHE_TMP/results/fig5.json" "$GOLDEN_TMP/fig5.json"
 # Same figure against the now-populated cache: every configuration must
 # come from disk (zero misses, zero simulations) and the JSON must be
 # byte-identical to the cold run's.
-cargo run -q --release -p ftmpi-bench --bin fig5_servers -- \
+cargo run -q --release -p ftmpi-bench -- fig fig5_servers \
     --fast --out "$CACHE_TMP/results" > "$CACHE_TMP/warm.log"
 grep -q "/ 0 misses" "$CACHE_TMP/warm.log"
 cmp "$CACHE_TMP/cold.json" "$CACHE_TMP/results/fig5.json"
@@ -102,7 +113,7 @@ cmp "$CACHE_TMP/cold.json" "$CACHE_TMP/results/fig5.json"
 # unbatched flows are the reference semantics, not a degraded mode.
 rm "$CACHE_TMP/results/fig5.json"
 FTMPI_NO_BATCH=1 FTMPI_NO_CACHE=1 \
-    cargo run -q --release -p ftmpi-bench --bin fig5_servers -- \
+    cargo run -q --release -p ftmpi-bench -- fig fig5_servers \
     --fast --out "$CACHE_TMP/results" > "$CACHE_TMP/plain.log"
 cmp "$CACHE_TMP/cold.json" "$CACHE_TMP/results/fig5.json"
 rm -rf "$CACHE_TMP"
@@ -118,15 +129,15 @@ echo "==> calibration seed cache (cold calibrate run, zero simulations)"
 SEED_TMP="${TMPDIR:-/tmp}/ftmpi-ci-seed-$$"
 rm -rf "$SEED_TMP"
 # A cold out dir must be served entirely by the committed seed entries.
-cargo run -q --release -p ftmpi-bench --bin calibrate -- \
+cargo run -q --release -p ftmpi-bench -- fig calibrate \
     --out "$SEED_TMP/results" > "$SEED_TMP.log"
 grep -q "6 hits (6 from disk) / 0 misses" "$SEED_TMP.log"
 rm -rf "$SEED_TMP" "$SEED_TMP.log"
 
 echo "==> kernel microbench (event queue, BENCH_kernel.json)"
-cargo run -q --release -p ftmpi-bench --bin kernel_bench -- --quick
+cargo run -q --release -p ftmpi-bench -- kernel --quick
 
 echo "==> rank-scale bench (512-rank and 10^5-rank runs, BENCH_scale.json)"
-cargo run -q --release -p ftmpi-bench --bin scale_bench -- --quick
+cargo run -q --release -p ftmpi-bench -- scale --quick
 
 echo "CI green."

@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""Fill EXPERIMENTS.md placeholders from an all_figures log.
+"""Fill EXPERIMENTS.md placeholders from a `ftmpi-bench fig all` log.
 
-Usage: python3 scripts/fill_experiments.py /tmp/all_figures.log
+Usage:
+    cargo run --release -p ftmpi-bench -- fig all > all_figures.log
+    python3 scripts/fill_experiments.py all_figures.log
 
 Extracts the printed tables of selected experiments and splices them into
 EXPERIMENTS.md at the `<!-- NAME -->` markers, converting the aligned-text
@@ -13,7 +15,7 @@ import sys
 
 
 def sections(log: str):
-    """Split the log into {binary_name: text} chunks."""
+    """Split the log into {figure_name: text} chunks."""
     parts = re.split(r"^#{8,} (\w+) #{8,}$", log, flags=re.M)
     out = {}
     for i in range(1, len(parts) - 1, 2):
